@@ -15,6 +15,7 @@ import (
 	"dsh"
 	"dsh/internal/index"
 	"dsh/internal/serve"
+	"dsh/internal/vec"
 	"dsh/internal/workload"
 	"dsh/internal/xrand"
 )
@@ -128,7 +129,9 @@ func runServeLoad(w io.Writer, cfg serveLoadConfig) error {
 		go func(c int) {
 			defer wg.Done()
 			rng := xrand.New(cfg.Seed + 100 + uint64(c))
-			cold := workload.SpherePoints(xrand.New(cfg.Seed+200+uint64(c)), 64, cfg.Dim)
+			// Every cold vector is drawn fresh, so the result cache can
+			// absorb only the hot set.
+			coldRng := xrand.New(cfg.Seed + 200 + uint64(c))
 			st := &stats[c]
 			for i := 0; i < perConn; i++ {
 				var path string
@@ -137,21 +140,21 @@ func runServeLoad(w io.Writer, cfg serveLoadConfig) error {
 				if isWrite {
 					path = "/v1/insert"
 					key := rng.Uint64() % uint64(cfg.Points+1)
-					vec := cold[rng.Uint64()%uint64(len(cold))]
+					v := vec.RandomUnit(coldRng, cfg.Dim)
 					if cfg.Routing == "rr" && cfg.Addr == "" {
-						body = map[string]any{"vector": vec}
+						body = map[string]any{"vector": v}
 					} else {
-						body = map[string]any{"key": key, "vector": vec}
+						body = map[string]any{"key": key, "vector": v}
 					}
 				} else {
 					path = "/v1/query"
-					var vec []float64
+					var v []float64
 					if float64(rng.Uint64()%1000)/1000 < cfg.HotFrac {
-						vec = hot[rng.Uint64()%uint64(len(hot))]
+						v = hot[rng.Uint64()%uint64(len(hot))]
 					} else {
-						vec = cold[rng.Uint64()%uint64(len(cold))]
+						v = vec.RandomUnit(coldRng, cfg.Dim)
 					}
-					body = map[string]any{"vector": vec}
+					body = map[string]any{"vector": v}
 				}
 				buf, _ := json.Marshal(body)
 				t0 := time.Now()
@@ -209,9 +212,11 @@ func runServeLoad(w io.Writer, cfg serveLoadConfig) error {
 		}
 		hits, misses, stale := delta("dsh_serve_cache_hits_total"),
 			delta("dsh_serve_cache_misses_total"), delta("dsh_serve_cache_stale_total")
+		// Over every lookup, stale discards included: the same base as
+		// the ledger's serve.cache_hit_ratio.
 		var hitRate float64
-		if hits+misses > 0 {
-			hitRate = float64(hits) / float64(hits+misses)
+		if lookups := hits + misses + stale; lookups > 0 {
+			hitRate = float64(hits) / float64(lookups)
 		}
 		fmt.Fprintf(w, "serve-batch flushes=%d coalesced=%d mean-size=%.2f\n",
 			flushes, delta("dsh_serve_coalesced_batches_total"), meanBatch)

@@ -125,8 +125,7 @@ func runThroughput(w io.Writer, cfg throughputConfig) error {
 		fmt.Fprintf(w, "speedup: %.2fx\n", seqAgg.Wall.Seconds()/batchAgg.Wall.Seconds())
 	}
 	if seqFound != batchFound {
-		fmt.Fprintf(w, "WARNING: sequential found %d, batch found %d (expected identical)\n",
-			seqFound, batchFound)
+		return fmt.Errorf("sequential found %d, batch found %d (expected identical)", seqFound, batchFound)
 	}
 	return nil
 }

@@ -7,7 +7,13 @@
 // Usage:
 //
 //	dshserve [-addr :8080] [-dim 24] [-points 20000] [-family simhash]
-//	         [-routing hash|rr] [-dir STORE] [serving knobs...]
+//	         [-routing hash|rr] [-dir STORE] [-batch 64] [-inflight 1024]
+//	         [-queue N] [-shed N] [-cache 4096] [-timeout 2s]
+//	         [-maxbatch 1024] [-workers N]
+//
+// The dispatcher flushes whatever queries are parked the moment it is
+// free, so queries arriving during one flush are batched into the next;
+// -batch caps how many one flush takes.
 //
 // With -dir the index is durable: an existing store is recovered
 // (cold-start, zero hash evaluations), an empty directory is initialised
@@ -46,8 +52,7 @@ func main() {
 	family := flag.String("family", "simhash", "hash family (cp, fastcp, simhash or batchsimhash)")
 	routing := flag.String("routing", "hash", "insert routing: hash (keyed upserts) or rr (dense round-robin ids)")
 	dir := flag.String("dir", "", "durable store directory (empty = in-memory index)")
-	batch := flag.Int("batch", 64, "coalescer flush size")
-	linger := flag.Duration("linger", 250*time.Microsecond, "coalescer linger (how long a short batch waits for company)")
+	batch := flag.Int("batch", 64, "most parked queries one dispatcher flush takes")
 	inflight := flag.Int("inflight", 1024, "admission budget: max concurrent requests")
 	queue := flag.Int("queue", 0, "intake queue depth (0 = 4x batch)")
 	shed := flag.Int("shed", 0, "queue-depth shed watermark (0 = 3/4 of queue)")
@@ -99,7 +104,6 @@ func main() {
 	srv := serve.New(ix, serve.Options{
 		Dim:         *dim,
 		BatchSize:   *batch,
-		Linger:      *linger,
 		MaxInFlight: *inflight,
 		QueueDepth:  *queue,
 		ShedDepth:   *shed,

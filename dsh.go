@@ -662,19 +662,22 @@ func Metrics() MetricsSnapshot { return obs.Default.Snapshot() }
 
 // Serving edge. The serve subpackage is a stdlib-only HTTP front end over
 // a ShardedIndex: it coalesces queries arriving on separate connections
-// into shared batch calls, sheds load with 429/503 + Retry-After when an
-// in-flight budget or queue watermark is exceeded, and answers repeated
-// queries from a hot-query cache keyed by the per-repetition hash-key
-// signature, invalidated wholesale whenever the index epoch moves. See
-// cmd/dshserve for the standalone daemon and dshbench -serve for the
-// socket-level load generator.
+// into shared batch calls (the dispatcher flushes whatever is parked the
+// moment it is free, so batches grow with load), sheds load with 429/503
+// + Retry-After when an in-flight budget or queue watermark is exceeded,
+// answers 503 rather than acknowledge a mutation the durable store failed
+// to journal, and answers repeated queries from a hot-query cache keyed
+// by the per-repetition hash-key signature, invalidated wholesale
+// whenever the index epoch moves. See cmd/dshserve for the standalone
+// daemon and dshbench -serve for the socket-level load generator.
 
 // Server is the HTTP serving edge over one ShardedIndex; create with
 // NewServer, mount Handler on an http.Server, shut down with Drain.
 type Server = serve.Server
 
 // ServeOptions configures a Server; the zero value of every field except
-// Dim is usable.
+// Dim is usable. BatchSize caps one dispatcher flush; no timer holds a
+// flush back, since queries arriving during one flush join the next.
 type ServeOptions = serve.Options
 
 // NewServer builds a serving edge over ix and starts its dispatcher.

@@ -6,19 +6,6 @@ import (
 	"time"
 )
 
-// clock abstracts time for the coalescer's linger timer so the admission
-// tests can drive flush deadlines deterministically instead of sleeping.
-type clock interface {
-	Now() time.Time
-	After(d time.Duration) <-chan time.Time
-}
-
-// sysClock is the production clock.
-type sysClock struct{}
-
-func (sysClock) Now() time.Time                         { return time.Now() }
-func (sysClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
 // admission is the in-flight budget: a semaphore bounding how many
 // requests may hold server resources at once, plus the drain latch. A
 // request acquires a slot before its body is even read and releases it

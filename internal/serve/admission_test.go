@@ -2,107 +2,84 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 )
 
-// fakeClock drives the coalescer's linger timer deterministically: Now
-// advances only via Advance, and After registers a waiter that fires when
-// the clock passes its deadline. Tests synchronize on timer registration
-// (waitTimers) instead of sleeping.
-type fakeClock struct {
-	mu     sync.Mutex
-	now    time.Time
-	timers []*fakeTimer
-}
-
-type fakeTimer struct {
-	at time.Time
-	ch chan time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{now: time.Unix(0, 0)}
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *fakeClock) After(d time.Duration) <-chan time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := &fakeTimer{at: c.now.Add(d), ch: make(chan time.Time, 1)}
-	c.timers = append(c.timers, t)
-	return t.ch
-}
-
-// Advance moves the clock and fires every timer whose deadline passed.
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = c.now.Add(d)
-	kept := c.timers[:0]
-	for _, t := range c.timers {
-		if !t.at.After(c.now) {
-			t.ch <- c.now
-		} else {
-			kept = append(kept, t)
-		}
-	}
-	c.timers = kept
-}
-
-// waitTimers polls until at least n timers are registered — i.e. the
-// dispatcher has entered its linger loop — or the deadline passes.
-func (c *fakeClock) waitTimers(t *testing.T, n int) {
+// waitFor polls cond until it holds, failing the test after five seconds.
+// It stands in for events the code under test does not publish, such as
+// a query leaving the intake queue; no test sleeps for a fixed time to
+// let something happen.
+func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		c.mu.Lock()
-		got := len(c.timers)
-		c.mu.Unlock()
-		if got >= n {
-			return
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	t.Fatal("dispatcher never registered a linger timer")
 }
 
-// waitReceived polls until the dispatcher has taken at least n queries
-// off the intake queue since the recorded baseline.
-func waitReceived(t *testing.T, co *coalescer, base, n int64) {
+// waitReceived waits until the dispatcher has taken n queries off the
+// intake queue.
+func waitReceived(t *testing.T, co *coalescer, n int64) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if co.received.Load()-base >= n {
-			return
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	t.Fatalf("dispatcher absorbed %d queries, want %d", co.received.Load()-base, n)
+	waitFor(t, "the dispatcher to take parked queries", func() bool { return co.received.Load() >= n })
 }
 
-// newClockedServer builds a keyed-index server on a fake clock with a
-// linger long enough that nothing flushes until the test advances time.
-func newClockedServer(t *testing.T, opts Options) (*Server, *fakeClock, func()) {
-	t.Helper()
+// The gated helpers hold every flush until open is called: the first
+// query the dispatcher takes keeps it inside its flush, so later queries
+// park in the intake queue. open is idempotent.
+
+// newGatedCoalescer starts a bare dispatcher whose flush hook reports each
+// batch size on the returned channel, then waits for open.
+func newGatedCoalescer(t *testing.T, batchSize, queueDepth, shedDepth int) (*coalescer, <-chan int, context.CancelFunc) {
+	gate, open := context.WithCancel(context.Background())
+	sizes := make(chan int, queueDepth+1) // at most one flush per offered query
+	co := newCoalescer(batchSize, queueDepth, shedDepth, func(batch []*pending) {
+		sizes <- len(batch)
+		<-gate.Done()
+	})
+	go co.run()
+	t.Cleanup(func() {
+		open()
+		co.stop()
+		<-co.done()
+	})
+	return co, sizes, open
+}
+
+// newGatedServer builds a keyed-index server whose flushes wait for open
+// before serving their batch.
+func newGatedServer(t *testing.T, opts Options) (*Server, context.CancelFunc) {
 	ix, _ := newKeyedIndex(t, 50)
-	clk := newFakeClock()
 	opts.Dim = testDim
-	opts.clk = clk
 	srv := New(ix, opts)
-	return srv, clk, func() {
+	gate, open := context.WithCancel(context.Background())
+	// Set before any query is offered: the intake send orders this write
+	// before the dispatcher reads the hook.
+	serveBatch := srv.co.flush
+	srv.co.flush = func(batch []*pending) {
+		<-gate.Done()
+		serveBatch(batch)
+	}
+	t.Cleanup(func() {
+		open()
 		_ = srv.Close()
 		ix.Close()
-	}
+	})
+	return srv, open
 }
+
+// parkable returns a query ready to offer straight to a coalescer.
+func parkable() *pending { return &pending{enq: time.Now(), done: make(chan result, 1)} }
+
+// onesQuery is a valid /v1/query body for the test dimension.
+var onesQuery = []byte(`{"vector":[1,1,1,1,1,1,1,1,1,1,1,1]}`)
 
 // queryAsync fires one wire query (a fixed valid vector) against the
 // handler from a goroutine and returns a channel carrying the recorder
@@ -110,8 +87,7 @@ func newClockedServer(t *testing.T, opts Options) (*Server, *fakeClock, func()) 
 func queryAsync(srv *Server) <-chan *httptest.ResponseRecorder {
 	ch := make(chan *httptest.ResponseRecorder, 1)
 	go func() {
-		req := httptest.NewRequest(http.MethodPost, "/v1/query",
-			bytes.NewReader([]byte(`{"vector":[1,1,1,1,1,1,1,1,1,1,1,1]}`)))
+		req := httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(onesQuery))
 		rr := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(rr, req)
 		ch <- rr
@@ -119,130 +95,111 @@ func queryAsync(srv *Server) <-chan *httptest.ResponseRecorder {
 	return ch
 }
 
-// TestCoalesceLingerFlush pins the linger semantics: short batches hold
-// until the timer fires, then flush together as one coalesced batch.
-func TestCoalesceLingerFlush(t *testing.T) {
-	srv, clk, done := newClockedServer(t, Options{
-		BatchSize: 8,
-		Linger:    time.Millisecond,
-		CacheSize: -1, // isolate coalescing from caching
-	})
-	defer done()
+// TestCoalesceLoneQueryFlushesAtOnce pins work conservation: a query
+// parked on an idle dispatcher flushes by itself, with no timer and no
+// second arrival to trigger it.
+func TestCoalesceLoneQueryFlushesAtOnce(t *testing.T) {
+	co, sizes, open := newGatedCoalescer(t, 8, 8, 8)
+	open()
+	if !co.offer(parkable()) {
+		t.Fatal("offer refused")
+	}
+	if n := <-sizes; n != 1 {
+		t.Fatalf("lone query flushed in a batch of %d", n)
+	}
+}
 
-	flushesBefore := mFlushes.Value()
-	coalescedBefore := mCoalesced.Value()
-	recBefore := srv.co.received.Load()
+// TestCoalesceParkedDuringFlush pins how batches form without a timer:
+// queries that arrive while a flush runs park in the intake queue and
+// leave together in the next flush.
+func TestCoalesceParkedDuringFlush(t *testing.T) {
+	srv, open := newGatedServer(t, Options{BatchSize: 8, CacheSize: -1})
+	flushes, coalesced := mFlushes.Value(), mCoalesced.Value()
 
 	first := queryAsync(srv)
-	// The dispatcher takes the first query and enters the linger loop.
-	clk.waitTimers(t, 1)
+	waitReceived(t, srv.co, 1) // the first query holds the dispatcher in its flush
+	second, third := queryAsync(srv), queryAsync(srv)
+	waitFor(t, "two queries to park", func() bool { return len(srv.co.intake) == 2 })
 
-	second := queryAsync(srv)
-	third := queryAsync(srv)
-	waitReceived(t, srv.co, recBefore, 3) // all three absorbed into the open batch
-
-	clk.Advance(time.Millisecond) // linger expires -> flush of 3
+	open()
 	for i, ch := range []<-chan *httptest.ResponseRecorder{first, second, third} {
-		rr := <-ch
-		if rr.Code != http.StatusOK {
+		if rr := <-ch; rr.Code != http.StatusOK {
 			t.Fatalf("query %d: status %d body %s", i, rr.Code, rr.Body.String())
 		}
 	}
-	if d := mFlushes.Value() - flushesBefore; d != 1 {
-		t.Fatalf("%d flushes, want exactly 1 (all three queries coalesced)", d)
+	if d := mFlushes.Value() - flushes; d != 2 {
+		t.Fatalf("%d flushes, want 2 (the first query alone, then the two parked ones together)", d)
 	}
-	if d := mCoalesced.Value() - coalescedBefore; d != 1 {
+	if d := mCoalesced.Value() - coalesced; d != 1 {
 		t.Fatalf("%d coalesced batches, want 1", d)
 	}
 }
 
-// TestCoalesceBatchSizeFlush pins the size trigger: once BatchSize
-// queries are parked the batch flushes with no clock movement at all.
+// TestCoalesceBatchSizeFlush pins the size cap: one sweep takes at most
+// BatchSize parked queries, and the rest leave in the following flushes.
 func TestCoalesceBatchSizeFlush(t *testing.T) {
-	srv, _, done := newClockedServer(t, Options{
-		BatchSize: 2,
-		Linger:    time.Hour, // only the size trigger may flush
-		CacheSize: -1,
-	})
-	defer done()
-
-	first := queryAsync(srv)
-	second := queryAsync(srv)
-	for i, ch := range []<-chan *httptest.ResponseRecorder{first, second} {
-		rr := <-ch
-		if rr.Code != http.StatusOK {
-			t.Fatalf("query %d: status %d (size-triggered flush never fired)", i, rr.Code)
+	co, sizes, open := newGatedCoalescer(t, 2, 8, 8)
+	if !co.offer(parkable()) {
+		t.Fatal("initial offer refused")
+	}
+	waitReceived(t, co, 1)
+	for i := 0; i < 5; i++ {
+		if !co.offer(parkable()) {
+			t.Fatalf("offer %d refused", i)
+		}
+	}
+	open()
+	for i, want := range []int{1, 2, 2, 1} {
+		if got := <-sizes; got != want {
+			t.Fatalf("flush %d took %d queries, want %d", i, got, want)
 		}
 	}
 }
 
-// TestCoalesceWatermarkShedding drives the coalescer directly with a
-// blocked flush hook: parked queries pile up while the dispatcher is
-// busy, the shed watermark refuses offers before the channel is full,
-// and unblocking drains everything.
+// TestCoalesceWatermarkShedding drives the coalescer with a blocked flush
+// hook: parked queries pile up while the dispatcher is busy, the shed
+// watermark refuses offers before the channel is full, and opening the
+// gate drains everything.
 func TestCoalesceWatermarkShedding(t *testing.T) {
-	release := make(chan struct{})
-	co := newCoalescer(1, 8, 3, 0, sysClock{}, func(batch []*pending) {
-		<-release
-		for _, p := range batch {
-			p.done <- result{}
-		}
-	})
-	go co.run()
-	defer func() {
-		co.stop()
-		<-co.done()
-	}()
-
-	mk := func() *pending { return &pending{done: make(chan result, 1)} }
+	co, _, open := newGatedCoalescer(t, 1, 8, 3)
 	// One offer fills a batch (size 1); the dispatcher takes it and
 	// blocks inside the flush hook.
-	base := co.received.Load()
-	if !co.offer(mk()) {
+	if !co.offer(parkable()) {
 		t.Fatal("initial offer refused")
 	}
-	waitReceived(t, co, base, 1)
+	waitReceived(t, co, 1)
 
 	// The dispatcher is stuck: exactly shedDepth queries may park, the
 	// next offer is shed.
 	for i := 0; i < 3; i++ {
-		if !co.offer(mk()) {
+		if !co.offer(parkable()) {
 			t.Fatalf("offer %d refused below the watermark", i)
 		}
 	}
-	if co.offer(mk()) {
+	if co.offer(parkable()) {
 		t.Fatal("offer above the shed watermark accepted")
 	}
 
-	// Unblock: everything parked flushes and completes.
-	close(release)
-	deadline := time.Now().Add(5 * time.Second)
-	for co.received.Load()-base < 4 {
-		if time.Now().After(deadline) {
-			t.Fatalf("dispatcher drained %d of 4 queries", co.received.Load()-base)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	// Open the gate: everything parked flushes.
+	open()
+	waitReceived(t, co, 4)
 }
 
 // TestAdmissionBudgetSheds pins the in-flight semaphore: with a budget of
 // one, a second concurrent request is shed with 429 + Retry-After while
 // the first is parked, and the shed path releases nothing it didn't take.
 func TestAdmissionBudgetSheds(t *testing.T) {
-	srv, clk, done := newClockedServer(t, Options{
+	srv, open := newGatedServer(t, Options{
 		BatchSize:   8,
-		Linger:      time.Millisecond,
 		MaxInFlight: 1,
 		CacheSize:   -1,
 		RetryAfter:  3 * time.Second,
 	})
-	defer done()
 
 	first := queryAsync(srv)
-	clk.waitTimers(t, 1) // first request is parked and holds the only slot
+	waitReceived(t, srv.co, 1) // the first request holds the only slot, inside a blocked flush
 
-	rr := doRaw(t, srv.Handler(), http.MethodPost, "/v1/query",
-		[]byte(`{"vector":[1,1,1,1,1,1,1,1,1,1,1,1]}`))
+	rr := doRaw(t, srv.Handler(), http.MethodPost, "/v1/query", onesQuery)
 	if rr.Code != http.StatusTooManyRequests {
 		t.Fatalf("second request: status %d, want 429", rr.Code)
 	}
@@ -253,49 +210,44 @@ func TestAdmissionBudgetSheds(t *testing.T) {
 		t.Fatalf("in-flight %d after shed, want 1 (shed must not release the holder's slot)", n)
 	}
 
-	clk.Advance(time.Millisecond)
+	open()
 	if rr := <-first; rr.Code != http.StatusOK {
 		t.Fatalf("parked request: status %d", rr.Code)
 	}
-	waitInFlightZero(t, srv)
+	waitFor(t, "the in-flight budget to empty", func() bool { return srv.adm.inFlight() == 0 })
 }
 
-// TestServeGracefulDrain pins the drain ordering: a parked query
-// completes with 200, requests arriving after Drain begins get 503 +
-// Retry-After, and Drain returns with the budget empty.
+// TestServeGracefulDrain pins the drain ordering: queries admitted before
+// the latch — one inside a flush, one still parked in the queue —
+// complete with 200, requests after it get 503 + Retry-After, and Drain
+// returns with the budget empty.
 func TestServeGracefulDrain(t *testing.T) {
-	ix, _ := newKeyedIndex(t, 50)
-	defer ix.Close()
-	clk := newFakeClock()
-	srv := New(ix, Options{Dim: testDim, BatchSize: 8, Linger: time.Hour, CacheSize: -1, clk: clk})
+	srv, open := newGatedServer(t, Options{BatchSize: 8, CacheSize: -1})
 
+	inFlush := queryAsync(srv)
+	waitReceived(t, srv.co, 1)
 	parked := queryAsync(srv)
-	clk.waitTimers(t, 1) // the query is held open in the linger loop
+	waitFor(t, "the second query to park", func() bool { return len(srv.co.intake) == 1 })
 
 	drainErr := make(chan error, 1)
 	go func() { drainErr <- srv.Close() }()
+	waitFor(t, "the drain latch", srv.adm.isDraining)
 
-	// A request racing the drain either lands before the latch (200) or
-	// after it (503); poll until the latch is visibly up.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		rr := doRaw(t, srv.Handler(), http.MethodPost, "/v1/query",
-			[]byte(`{"vector":[1,1,1,1,1,1,1,1,1,1,1,1]}`))
-		if rr.Code == http.StatusServiceUnavailable {
-			if got := rr.Header().Get("Retry-After"); got == "" {
-				t.Fatal("503 without Retry-After")
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("drain latch never refused a new request")
-		}
+	rr := doRaw(t, srv.Handler(), http.MethodPost, "/v1/query", onesQuery)
+	if rr.Code != http.StatusServiceUnavailable {
+		t.Fatalf("request after the drain latch: status %d, want 503", rr.Code)
+	}
+	if got := rr.Header().Get("Retry-After"); got == "" {
+		t.Fatal("503 without Retry-After")
 	}
 
-	// The parked query still completes: stop breaks the linger loop and
-	// the final sweep flushes it.
-	if rr := <-parked; rr.Code != http.StatusOK {
-		t.Fatalf("parked query during drain: status %d, want 200", rr.Code)
+	// The admitted queries still complete once the flush unblocks: the
+	// dispatcher's final sweep takes the parked one.
+	open()
+	for i, ch := range []<-chan *httptest.ResponseRecorder{inFlush, parked} {
+		if rr := <-ch; rr.Code != http.StatusOK {
+			t.Fatalf("query %d admitted before the drain: status %d, want 200", i, rr.Code)
+		}
 	}
 	if err := <-drainErr; err != nil {
 		t.Fatalf("drain: %v", err)
@@ -303,18 +255,4 @@ func TestServeGracefulDrain(t *testing.T) {
 	if n := srv.adm.inFlight(); n != 0 {
 		t.Fatalf("%d slots still held after drain", n)
 	}
-}
-
-// waitInFlightZero polls the budget back to empty (the handler releases
-// its slot after writing the response, which races the test's receive).
-func waitInFlightZero(t *testing.T, srv *Server) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if srv.adm.inFlight() == 0 {
-			return
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	t.Fatalf("in-flight budget stuck at %d", srv.adm.inFlight())
 }

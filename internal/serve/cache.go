@@ -1,8 +1,10 @@
 package serve
 
 import (
-	"math"
+	"bytes"
+	"hash/maphash"
 	"sync"
+	"unsafe"
 
 	"dsh/internal/obs"
 )
@@ -18,8 +20,11 @@ import (
 //   - bySig: signature -> entry, the canonical, collision-meaningful key.
 //     Distinct vectors that share a signature share one entry (they
 //     provably share results).
-//   - byFP: a cheap fingerprint of the raw vector bits -> entry, the
-//     lookup path. A fingerprint hit short-circuits before any hashing.
+//   - byFP: a seeded fingerprint of the raw vector bits -> the query
+//     stored under it and its entry, the lookup path. A hit compares the
+//     stored vector and bound bit for bit before it short-circuits
+//     hashing, so a fingerprint collision costs a miss, never a wrong
+//     answer.
 //
 // Entries are stamped with the snapshot epoch they were computed against;
 // a lookup that finds an entry from an older epoch discards it (counted
@@ -30,7 +35,7 @@ type queryCache struct {
 	max    int
 	stripe uint32
 	bySig  map[uint64]*cacheEntry
-	byFP   map[uint64]*cacheEntry
+	byFP   map[uint64]fpSlot
 	// Intrusive LRU list: head is most recent, tail next to evict.
 	head, tail *cacheEntry
 }
@@ -45,85 +50,91 @@ type cacheEntry struct {
 	prev, next *cacheEntry
 }
 
+// fpSlot is one byFP entry: the exact query it was stored for, and the
+// entry holding that query's result.
+type fpSlot struct {
+	vec []float64
+	max int
+	e   *cacheEntry
+}
+
+// holds reports whether the slot was stored for exactly p's query.
+func (s fpSlot) holds(p *pending) bool {
+	return s.max == p.max && bytes.Equal(rawBits(s.vec), rawBits(p.vec))
+}
+
 func newQueryCache(max int) *queryCache {
 	return &queryCache{
 		max:    max,
 		stripe: obs.NextStripe(),
 		bySig:  make(map[uint64]*cacheEntry, max),
-		byFP:   make(map[uint64]*cacheEntry, max),
+		byFP:   make(map[uint64]fpSlot, max),
 	}
 }
 
-// fingerprint hashes the raw bit pattern of vec plus the candidate bound
-// with FNV-1a 64. Using the exact float bits means no canonicalization
-// cost and no false merges (-0.0 vs 0.0 differ, which is fine — a miss is
-// only a missed optimization); folding max in keeps queries that differ
-// only in their candidate budget from aliasing.
+// fpSeed keys fingerprints per process, so colliding vectors cannot be
+// prepared outside it.
+var fpSeed = maphash.MakeSeed()
+
+// fingerprint hashes the raw bit pattern of vec and folds in the
+// candidate bound, so queries that differ only in their budget land in
+// different slots.
 func fingerprint(vec []float64, max int) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, v := range vec {
-		b := math.Float64bits(v)
-		for s := 0; s < 64; s += 8 {
-			h ^= (b >> s) & 0xff
-			h *= prime64
-		}
-	}
-	b := uint64(max)
-	for s := 0; s < 64; s += 8 {
-		h ^= (b >> s) & 0xff
-		h *= prime64
-	}
-	return h
+	return mixSig(maphash.Bytes(fpSeed, rawBits(vec)), max)
 }
 
-// lookup returns the cached ids for fp if an entry exists at exactly
-// epoch. Misses and stale discards bump their counters; a hit refreshes
-// LRU position. The returned slice is shared — callers must not mutate it.
-func (c *queryCache) lookup(fp uint64, epoch uint64) ([]int, bool) {
+// rawBits views vec's float bits as bytes in memory order; they never
+// leave the process, so byte order does not matter.
+func rawBits(vec []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vec))), 8*len(vec))
+}
+
+// lookup returns the cached ids for p if its fingerprint slot holds
+// exactly p's query and the entry is at exactly epoch. Misses (a
+// fingerprint holding another query included) and stale discards bump
+// their counters; a hit refreshes LRU position. The returned slice is
+// shared — callers must not mutate it.
+func (c *queryCache) lookup(p *pending, epoch uint64) ([]int, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.byFP[fp]
-	if e == nil {
+	s, ok := c.byFP[p.fp]
+	if !ok || !s.holds(p) {
 		mCacheMisses.Inc(c.stripe)
 		return nil, false
 	}
-	if e.epoch != epoch {
+	if s.e.epoch != epoch {
 		mCacheStale.Inc(c.stripe)
-		c.remove(e)
+		c.remove(s.e)
 		return nil, false
 	}
 	mCacheHits.Inc(c.stripe)
-	c.moveToFront(e)
-	return e.ids, true
+	c.moveToFront(s.e)
+	return s.e.ids, true
 }
 
-// store records ids as the result for the query with the given signature
-// and fingerprint, computed against epoch. If an entry for the signature
-// already exists at this epoch the fingerprint is aliased onto it (a new
-// vector provably sharing the result set); otherwise a fresh entry is
-// inserted and the LRU trimmed to the size bound.
-func (c *queryCache) store(sig, fp, epoch uint64, ids []int) {
+// store records ids as the result for query p with the given signature,
+// computed against epoch. If an entry for the signature already exists at
+// this epoch p's fingerprint is aliased onto it (a new vector provably
+// sharing the result set); otherwise a fresh entry is inserted and the
+// LRU trimmed to the size bound. p's fingerprint slot is taken over
+// either way.
+func (c *queryCache) store(sig uint64, p *pending, epoch uint64, ids []int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e := c.bySig[sig]; e != nil {
-		if e.epoch == epoch {
-			if c.byFP[fp] != e {
-				c.byFP[fp] = e
-				e.fps = append(e.fps, fp)
-			}
-			c.moveToFront(e)
-			return
-		}
+	e := c.bySig[sig]
+	if e != nil && e.epoch != epoch {
 		c.remove(e) // superseded by a newer epoch's result
+		e = nil
 	}
-	e := &cacheEntry{sig: sig, epoch: epoch, fps: []uint64{fp}, ids: ids}
-	c.bySig[sig] = e
-	c.byFP[fp] = e
-	c.pushFront(e)
+	if e == nil {
+		e = &cacheEntry{sig: sig, epoch: epoch, ids: ids}
+		c.bySig[sig] = e
+	}
+	c.moveToFront(e) // links a fresh entry at the head
+	if s, ok := c.byFP[p.fp]; !ok || s.e != e {
+		e.fps = append(e.fps, p.fp)
+	}
+	c.byFP[p.fp] = fpSlot{vec: p.vec, max: p.max, e: e}
 	for len(c.bySig) > c.max && c.tail != nil {
 		mCacheEvict.Inc(c.stripe)
 		c.remove(c.tail)
@@ -141,7 +152,7 @@ func (c *queryCache) len() int {
 func (c *queryCache) remove(e *cacheEntry) {
 	delete(c.bySig, e.sig)
 	for _, fp := range e.fps {
-		if c.byFP[fp] == e {
+		if c.byFP[fp].e == e {
 			delete(c.byFP, fp)
 		}
 	}

@@ -154,18 +154,20 @@ func TestQueryCacheNeverServesStale(t *testing.T) {
 // eviction order, stale discard, fingerprint aliasing, and removal
 // consistency between the two maps.
 func TestQueryCacheLRU(t *testing.T) {
+	// q is the query stored under fingerprint fp: one coordinate, fp.
+	q := func(fp uint64) *pending { return &pending{fp: fp, vec: []float64{float64(fp)}} }
 	c := newQueryCache(2)
-	c.store(1, 10, 5, []int{1})
-	c.store(2, 20, 5, []int{2})
-	if _, ok := c.lookup(10, 5); !ok {
+	c.store(1, q(10), 5, []int{1})
+	c.store(2, q(20), 5, []int{2})
+	if _, ok := c.lookup(q(10), 5); !ok {
 		t.Fatal("entry 1 missing")
 	}
 	// Entry 1 is now most recent; storing a third evicts entry 2.
-	c.store(3, 30, 5, []int{3})
-	if _, ok := c.lookup(20, 5); ok {
+	c.store(3, q(30), 5, []int{3})
+	if _, ok := c.lookup(q(20), 5); ok {
 		t.Fatal("LRU kept the least-recently-used entry")
 	}
-	if _, ok := c.lookup(10, 5); !ok {
+	if _, ok := c.lookup(q(10), 5); !ok {
 		t.Fatal("LRU evicted the most-recently-used entry")
 	}
 	if c.len() != 2 {
@@ -173,29 +175,58 @@ func TestQueryCacheLRU(t *testing.T) {
 	}
 
 	// Stale: an epoch bump invalidates on lookup.
-	if _, ok := c.lookup(10, 6); ok {
+	if _, ok := c.lookup(q(10), 6); ok {
 		t.Fatal("lookup served an entry from an older epoch")
 	}
-	if _, ok := c.lookup(10, 5); ok {
+	if _, ok := c.lookup(q(10), 5); ok {
 		t.Fatal("stale entry was not discarded")
 	}
 
 	// Aliasing: a second fingerprint with the same signature and epoch
 	// shares the entry; removing the entry clears both fingerprints.
 	c2 := newQueryCache(4)
-	c2.store(7, 70, 9, []int{7})
-	c2.store(7, 71, 9, []int{7})
+	c2.store(7, q(70), 9, []int{7})
+	c2.store(7, q(71), 9, []int{7})
 	if c2.len() != 1 {
 		t.Fatalf("aliased store created %d entries, want 1", c2.len())
 	}
-	if ids, ok := c2.lookup(71, 9); !ok || len(ids) != 1 || ids[0] != 7 {
+	if ids, ok := c2.lookup(q(71), 9); !ok || len(ids) != 1 || ids[0] != 7 {
 		t.Fatalf("aliased fingerprint lookup = %v, %v", ids, ok)
 	}
-	if _, ok := c2.lookup(70, 11); ok {
+	if _, ok := c2.lookup(q(70), 11); ok {
 		t.Fatal("stale aliased entry served")
 	}
-	if _, ok := c2.lookup(71, 9); ok {
+	if _, ok := c2.lookup(q(71), 9); ok {
 		t.Fatal("removing a stale entry left an aliased fingerprint behind")
+	}
+}
+
+// TestQueryCacheFingerprintCollisionMisses forces different queries under
+// one fingerprint: a hit needs the exact stored vector and bound, so a
+// collision is a miss, never another query's result.
+func TestQueryCacheFingerprintCollisionMisses(t *testing.T) {
+	vecs := workload.SpherePoints(xrand.New(443), 2, testDim)
+	a := &pending{fp: 42, vec: vecs[0]}
+	b := &pending{fp: 42, vec: vecs[1]}
+	c := newQueryCache(4)
+	c.store(1, a, 5, []int{1})
+	if _, ok := c.lookup(b, 5); ok {
+		t.Fatal("a different vector under the same fingerprint hit the cache")
+	}
+	if _, ok := c.lookup(&pending{fp: 42, vec: vecs[0], max: 3}, 5); ok {
+		t.Fatal("a different candidate bound under the same fingerprint hit the cache")
+	}
+	if ids, ok := c.lookup(a, 5); !ok || ids[0] != 1 {
+		t.Fatalf("the stored query missed: %v, %v", ids, ok)
+	}
+
+	// The second query takes the slot over; now the first one misses.
+	c.store(2, b, 5, []int{2})
+	if ids, ok := c.lookup(b, 5); !ok || ids[0] != 2 {
+		t.Fatalf("the slot's new query missed: %v, %v", ids, ok)
+	}
+	if _, ok := c.lookup(a, 5); ok {
+		t.Fatal("a query displaced from its fingerprint slot still hit")
 	}
 }
 

@@ -12,11 +12,14 @@ import (
 // The coalescer merges queries arriving on separate connections into one
 // batch call against the serving snapshot. Handlers park a pending op in
 // a bounded intake queue and block on its done channel; a single
-// dispatcher goroutine drains the queue and flushes a batch when it
-// reaches the batch size or when the oldest parked query has lingered
-// ~Options.Linger. Batching is what makes the repetition-blocked pre-hash
-// and the shared worker pool pay off across connections — one block hash
-// and one scratch acquisition serve every query in the flush.
+// dispatcher goroutine blocks for the first parked query, sweeps whatever
+// else is already parked (up to the batch size) and flushes at once. It
+// is work-conserving: no timer ever holds a query back while the
+// dispatcher is idle. Batches still form under load, because queries
+// that arrive while one flush runs park in the queue and leave together
+// in the next sweep. Batching is what makes the repetition-blocked
+// pre-hash and the shared worker pool pay off across connections — one
+// block hash and one scratch acquisition serve every query in the flush.
 
 // pending is one parked query: the handler fills it, offers it to the
 // coalescer, and waits on done. done is buffered so the dispatcher's send
@@ -44,12 +47,10 @@ type result struct {
 type coalescer struct {
 	intake    chan *pending
 	batchSize int
-	linger    time.Duration
 	// shedDepth is the backpressure watermark: offers are refused once the
 	// queue holds this many parked queries, before the channel is even
 	// full, so shedding kicks in while the dispatcher still has headroom.
 	shedDepth int
-	clk       clock
 	flush     func([]*pending)
 	stripe    uint32
 
@@ -62,13 +63,11 @@ type coalescer struct {
 	drained  chan struct{} // closed by run when the queue is fully flushed
 }
 
-func newCoalescer(batchSize, queueDepth, shedDepth int, linger time.Duration, clk clock, flush func([]*pending)) *coalescer {
+func newCoalescer(batchSize, queueDepth, shedDepth int, flush func([]*pending)) *coalescer {
 	return &coalescer{
 		intake:    make(chan *pending, queueDepth),
 		batchSize: batchSize,
-		linger:    linger,
 		shedDepth: shedDepth,
-		clk:       clk,
 		flush:     flush,
 		stripe:    obs.NextStripe(),
 		stopped:   make(chan struct{}),
@@ -97,7 +96,8 @@ func (c *coalescer) run() {
 	defer close(c.drained)
 	batch := make([]*pending, 0, c.batchSize)
 	for {
-		// Block for the batch's first query (or for shutdown).
+		// Block for the batch's first query (or for shutdown), sweep
+		// whatever else is already parked, and flush at once.
 		batch = batch[:0]
 		select {
 		case p := <-c.intake:
@@ -107,28 +107,7 @@ func (c *coalescer) run() {
 			c.drainAll(batch)
 			return
 		}
-
-		// Fast drain: sweep whatever is already parked, up to batchSize.
 		c.fill(&batch)
-
-		// Linger: the batch is short, so hold it open for up to linger
-		// hoping more connections arrive to coalesce with.
-		if len(batch) < c.batchSize && c.linger > 0 {
-			timer := c.clk.After(c.linger)
-		lingerLoop:
-			for len(batch) < c.batchSize {
-				select {
-				case p := <-c.intake:
-					c.took()
-					batch = append(batch, p)
-				case <-timer:
-					break lingerLoop
-				case <-c.stopped:
-					break lingerLoop
-				}
-			}
-		}
-
 		c.dispatch(batch)
 	}
 }
@@ -152,16 +131,12 @@ func (c *coalescer) took() {
 	c.received.Add(1)
 }
 
-// dispatch records batch metrics and hands the batch to the flush hook.
+// dispatch records batch metrics and hands the non-empty batch to the
+// flush hook.
 func (c *coalescer) dispatch(batch []*pending) {
-	if len(batch) == 0 {
-		return
-	}
-	now := c.clk.Now()
+	now := time.Now()
 	for _, p := range batch {
-		if w := now.Sub(p.enq); w > 0 {
-			mQueueWait.Observe(c.stripe, uint64(w))
-		}
+		mQueueWait.Observe(c.stripe, uint64(now.Sub(p.enq)))
 	}
 	mFlushes.Inc(c.stripe)
 	mBatchSize.Observe(c.stripe, uint64(len(batch)))

@@ -31,7 +31,7 @@ var (
 
 	// Coalescing dispatcher.
 	mFlushes = obs.NewCounter("dsh_serve_batches_total",
-		"coalesced batches flushed by the dispatcher (size or linger triggered)")
+		"batches flushed by the dispatcher (one per sweep of the intake queue, up to the batch size)")
 	mCoalesced = obs.NewCounter("dsh_serve_coalesced_batches_total",
 		"dispatcher batches that merged more than one in-flight query")
 	mBatchSize = obs.NewHistogram("dsh_serve_batch_size",

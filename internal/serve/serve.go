@@ -4,21 +4,24 @@
 //
 //   - Cross-connection coalescing. Query handlers park their request in a
 //     bounded intake queue; a single dispatcher drains it into
-//     QueryBatchSigned calls, flushing on batch size or a short linger
-//     timer. Concurrent clients therefore share one repetition-blocked
+//     QueryBatchSigned calls, flushing whatever is parked the moment it is
+//     free. Queries that arrive while one flush runs leave together in
+//     the next, so concurrent clients share one repetition-blocked
 //     pre-hash and one worker-pool pass per flush.
 //   - Admission control. A semaphore bounds in-flight requests and a
 //     queue-depth watermark sheds load with 429 + Retry-After before the
 //     dispatcher saturates; every request carries a deadline, and
 //     graceful drain (SIGTERM in dshserve) completes parked work while
-//     refusing new requests with 503.
+//     refusing new requests with 503. A mutation the durable store failed
+//     to journal is answered with 503 too, never acknowledged.
 //   - A hot-query result cache keyed by the per-repetition hash-key
 //     signature of the query point. Equal signatures against one snapshot
 //     imply identical results (they probed the same bucket in every
 //     repetition), and entries are stamped with the snapshot epoch, so
 //     any insert or delete invalidates the whole cache at the next
-//     refresh. Cache hits skip hash evaluation entirely via a raw-bits
-//     fingerprint index.
+//     refresh. Cache hits skip hash evaluation entirely via a seeded
+//     fingerprint of the raw vector bits, confirmed against the stored
+//     vector.
 //
 // Endpoints: POST /v1/query, /v1/querybatch, /v1/insert, /v1/delete
 // (keyed or round-robin variants matching the index routing), GET
@@ -42,13 +45,9 @@ import (
 type Options struct {
 	// Dim is the vector dimensionality the index serves. Required.
 	Dim int
-	// BatchSize is the coalescing target: the dispatcher flushes as soon
-	// as this many queries are parked. Default 64.
+	// BatchSize caps how many parked queries one dispatcher flush takes.
+	// Default 64.
 	BatchSize int
-	// Linger is how long the dispatcher holds a short batch open waiting
-	// for more connections to coalesce with. Default 250µs. Zero uses the
-	// default; negative disables lingering (flush whatever is parked).
-	Linger time.Duration
 	// MaxInFlight bounds concurrently admitted requests. Default 1024.
 	MaxInFlight int
 	// QueueDepth is the intake-queue capacity. Default 4*BatchSize.
@@ -70,18 +69,11 @@ type Options struct {
 	Timeout time.Duration
 	// RetryAfter is the hint sent with 429/503 responses. Default 1s.
 	RetryAfter time.Duration
-
-	// clk lets the deterministic admission tests drive the linger timer;
-	// nil means the system clock.
-	clk clock
 }
 
 func (o Options) withDefaults() Options {
 	if o.BatchSize <= 0 {
 		o.BatchSize = 64
-	}
-	if o.Linger == 0 {
-		o.Linger = 250 * time.Microsecond
 	}
 	if o.MaxInFlight <= 0 {
 		o.MaxInFlight = 1024
@@ -109,9 +101,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RetryAfter <= 0 {
 		o.RetryAfter = time.Second
-	}
-	if o.clk == nil {
-		o.clk = sysClock{}
 	}
 	return o
 }
@@ -155,7 +144,7 @@ func New(ix *index.ShardedIndex[[]float64], opts Options) *Server {
 	if opts.CacheSize > 0 {
 		s.cache = newQueryCache(opts.CacheSize)
 	}
-	s.co = newCoalescer(opts.BatchSize, opts.QueueDepth, opts.ShedDepth, opts.Linger, opts.clk, s.serveBatch)
+	s.co = newCoalescer(opts.BatchSize, opts.QueueDepth, opts.ShedDepth, s.serveBatch)
 	s.buildMux()
 	go s.co.run()
 	return s
@@ -221,6 +210,10 @@ func (s *Server) buildMux() {
 			http.Error(w, "draining", http.StatusServiceUnavailable)
 			return
 		}
+		if err := s.ix.DurableErr(); err != nil {
+			http.Error(w, "durable store failed: "+err.Error(), http.StatusServiceUnavailable)
+			return
+		}
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write([]byte("ok\n"))
 	})
@@ -248,6 +241,18 @@ func (s *Server) admit(w http.ResponseWriter) bool {
 	return true
 }
 
+// unjournaled answers 503 with the cause when the index has latched a
+// durability fault: the mutation just applied in memory, but it may not
+// survive a restart, so it must not be acknowledged.
+func (s *Server) unjournaled(w http.ResponseWriter) bool {
+	err := s.ix.DurableErr()
+	if err == nil {
+		return false
+	}
+	writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "durable store failed: " + err.Error()})
+	return true
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w) {
 		return
@@ -261,7 +266,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)
 	defer cancel()
-	start := s.opts.clk.Now()
+	start := time.Now()
 	p := &pending{
 		ctx: ctx, vec: req.Vector, max: req.Max,
 		fp:   fingerprint(req.Vector, req.Max),
@@ -277,7 +282,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	select {
 	case res := <-p.done:
-		observeLatency(s.stripe, s.opts.clk.Now().Sub(start))
+		mServeLatency.Observe(s.stripe, uint64(time.Since(start)))
 		writeJSON(w, http.StatusOK, queryResponse{IDs: nonNilIDs(res.ids), Epoch: res.epoch, Cached: res.cached})
 	case <-ctx.Done():
 		p.canceled.Store(true)
@@ -299,7 +304,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)
 	defer cancel()
-	start := s.opts.clk.Now()
+	start := time.Now()
 	ps := make([]*pending, len(req.Vectors))
 	for i, vec := range req.Vectors {
 		ps[i] = &pending{
@@ -341,7 +346,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	observeLatency(s.stripe, s.opts.clk.Now().Sub(start))
+	mServeLatency.Observe(s.stripe, uint64(time.Since(start)))
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -364,6 +369,9 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	}
 	mMutations.Inc(s.stripe)
 	mInsertOps.Inc(s.stripe)
+	if s.unjournaled(w) {
+		return
+	}
 	writeJSON(w, http.StatusOK, insertResponse{ID: id, Epoch: s.ix.Epoch()})
 }
 
@@ -386,6 +394,9 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	mMutations.Inc(s.stripe)
 	mDeleteOps.Inc(s.stripe)
+	if s.unjournaled(w) {
+		return
+	}
 	writeJSON(w, http.StatusOK, deleteResponse{Deleted: deleted, Epoch: s.ix.Epoch()})
 }
 
@@ -411,7 +422,7 @@ func (s *Server) serveBatch(batch []*pending) {
 	var groups map[int][]*pending
 	for _, p := range live {
 		if s.cache != nil {
-			if ids, ok := s.cache.lookup(p.fp, s.snapEpoch); ok {
+			if ids, ok := s.cache.lookup(p, s.snapEpoch); ok {
 				p.done <- result{ids: ids, epoch: s.snapEpoch, cached: true}
 				continue
 			}
@@ -432,7 +443,7 @@ func (s *Server) serveBatch(batch []*pending) {
 		})
 		for i, p := range ps {
 			if s.cache != nil {
-				s.cache.store(mixSig(sigs[i], max), p.fp, s.snapEpoch, out[i])
+				s.cache.store(mixSig(sigs[i], max), p, s.snapEpoch, out[i])
 			}
 			p.done <- result{ids: out[i], epoch: s.snapEpoch}
 		}
@@ -464,14 +475,6 @@ func mixSig(sig uint64, max int) uint64 {
 	z ^= z >> 27
 	z *= 0x94d049bb133111eb
 	return z ^ z>>31
-}
-
-// observeLatency records a wall-clock duration, guarding against the
-// fake clock running backwards in tests.
-func observeLatency(stripe uint32, d time.Duration) {
-	if d > 0 {
-		mServeLatency.Observe(stripe, uint64(d))
-	}
 }
 
 // nonNilIDs keeps empty result sets as [] rather than null on the wire.

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"dsh/internal/core"
+	"dsh/internal/durable"
 	"dsh/internal/index"
 	"dsh/internal/sphere"
 	"dsh/internal/workload"
@@ -89,7 +90,6 @@ func TestServeEndToEndDifferentialUnderChurn(t *testing.T) {
 	srv := New(ix, Options{
 		Dim:       testDim,
 		BatchSize: 8,
-		Linger:    500 * time.Microsecond,
 		Workers:   4,
 		// Room for the 50-vector querybatch below the shed watermark.
 		QueueDepth: 256,
@@ -299,6 +299,55 @@ func TestServeHealthz(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("healthz while drained: status %d, want 503", resp.StatusCode)
 	}
+}
+
+// TestServeDurableFault pins that the edge never acknowledges a write the
+// durable store failed to journal: once a WAL sync fails, inserts and
+// deletes answer 503 with the cause and /healthz turns unhealthy, while
+// queries keep answering from memory.
+func TestServeDurableFault(t *testing.T) {
+	// The first WAL sync passes; the second fails and latches the fault.
+	ix, err := index.NewDurableSharded(t.TempDir(), 401, testFamily(), testL, durable.Float64Codec{},
+		index.ShardOptions{Shards: 2, Routing: index.RouteHash},
+		durable.Options{Hooks: durable.FailAt(map[string]int{"wal:sync": 1})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	srv := New(ix, Options{Dim: testDim})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	healthz := func() int {
+		resp, err := ts.Client().Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	vecs := workload.SpherePoints(xrand.New(451), 2, testDim)
+	keys := []uint64{1, 2}
+
+	if code, body := postJSON(t, ts.Client(), ts.URL+"/v1/insert", insertRequest{Key: &keys[0], Vector: vecs[0]}); code != http.StatusOK {
+		t.Fatalf("insert before the fault: status %d body %s", code, body)
+	}
+	if code := healthz(); code != http.StatusOK {
+		t.Fatalf("healthz before the fault: status %d", code)
+	}
+	for path, req := range map[string]any{
+		"/v1/insert": insertRequest{Key: &keys[1], Vector: vecs[1]},
+		"/v1/delete": deleteRequest{Key: &keys[0]},
+	} {
+		code, body := postJSON(t, ts.Client(), ts.URL+path, req)
+		if code != http.StatusServiceUnavailable || !bytes.Contains(body, []byte("injected fault")) {
+			t.Fatalf("%s after the fault: status %d body %s, want 503 naming the fault", path, code, body)
+		}
+	}
+	if code := healthz(); code != http.StatusServiceUnavailable {
+		t.Fatalf("healthz with a latched fault: status %d, want 503", code)
+	}
+	wireQuery(t, ts.Client(), ts.URL, vecs[1]) // queries still answer from memory
 }
 
 // TestServeMetricsMounted asserts the obshttp plane is reachable on the
