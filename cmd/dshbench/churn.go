@@ -130,7 +130,7 @@ func runChurn(w io.Writer, cfg churnConfig) error {
 	fmt.Fprintf(w, "build: %v\n", buildTime)
 
 	// Query batches run through the RunBatch worker pool with one pooled
-	// DynamicQuerier per in-flight query — the serving loop, with no
+	// Querier per in-flight query — the serving loop, with no
 	// per-query result copying — so the B/q column measures the query
 	// path itself. runPhase scopes the allocation delta to the batches.
 	batchOpts := index.BatchOptions{Workers: cfg.Workers}
@@ -268,20 +268,20 @@ func printMetricsTable(w io.Writer) {
 		g["dsh_durable_faults"])
 }
 
-// dynQuerierPool pools DynamicQueriers for the churn serving loop.
+// dynQuerierPool pools Queriers for the churn serving loop.
 type dynQuerierPool struct {
 	dx   *index.DynamicIndex[[]float64]
 	pool sync.Pool
 }
 
-func (p *dynQuerierPool) get() *index.DynamicQuerier[[]float64] {
-	if qr, ok := p.pool.Get().(*index.DynamicQuerier[[]float64]); ok {
+func (p *dynQuerierPool) get() *index.Querier[[]float64] {
+	if qr, ok := p.pool.Get().(*index.Querier[[]float64]); ok {
 		return qr
 	}
 	return p.dx.NewQuerier()
 }
 
-func (p *dynQuerierPool) put(qr *index.DynamicQuerier[[]float64]) { p.pool.Put(qr) }
+func (p *dynQuerierPool) put(qr *index.Querier[[]float64]) { p.pool.Put(qr) }
 
 func printInsertRow(w io.Writer, lat []float64, wall time.Duration) {
 	if len(lat) == 0 {

@@ -74,7 +74,7 @@ func runThroughput(w io.Writer, cfg throughputConfig) error {
 
 	// Sequential baseline: one query at a time, driving one reusable
 	// Querier so the loop exercises the zero-allocation steady state.
-	qr := ai.Index().NewQuerier()
+	qr := ai.Source().NewQuerier()
 	seqPer := make([]index.QueryStats, len(queries))
 	seqFound := 0
 	seqAllocs := heapAllocated()

@@ -8,12 +8,13 @@
 //
 //	dshserve [-addr :8080] [-dim 24] [-points 20000] [-family simhash]
 //	         [-routing hash|rr] [-dir STORE] [-batch 64] [-inflight 1024]
-//	         [-queue N] [-shed N] [-cache 4096] [-timeout 2s]
-//	         [-maxbatch 1024] [-workers N]
+//	         [-queue N] [-shed N] [-cache 4096] [-timeout 2s] [-workers N]
 //
 // The dispatcher flushes whatever queries are parked the moment it is
 // free, so queries arriving during one flush are batched into the next;
-// -batch caps how many one flush takes.
+// -batch caps how many one flush takes. -shed is the queue-depth
+// watermark above which queries are refused with 429; it also caps the
+// vectors of one /v1/querybatch request (a larger one gets 413).
 //
 // With -dir the index is durable: an existing store is recovered
 // (cold-start, zero hash evaluations), an empty directory is initialised
@@ -55,10 +56,9 @@ func main() {
 	batch := flag.Int("batch", 64, "most parked queries one dispatcher flush takes")
 	inflight := flag.Int("inflight", 1024, "admission budget: max concurrent requests")
 	queue := flag.Int("queue", 0, "intake queue depth (0 = 4x batch)")
-	shed := flag.Int("shed", 0, "queue-depth shed watermark (0 = 3/4 of queue)")
+	shed := flag.Int("shed", 0, "queue-depth shed watermark, also the most vectors per /v1/querybatch (0 = 3/4 of queue)")
 	cache := flag.Int("cache", 4096, "hot-query cache entries (negative disables)")
 	timeout := flag.Duration("timeout", 2*time.Second, "per-request deadline")
-	maxbatch := flag.Int("maxbatch", 1024, "max vectors per /v1/querybatch request")
 	workers := flag.Int("workers", 0, "batch query workers (0 = GOMAXPROCS)")
 	flag.Parse()
 
@@ -109,7 +109,6 @@ func main() {
 		ShedDepth:   *shed,
 		CacheSize:   *cache,
 		Timeout:     *timeout,
-		MaxBatch:    *maxbatch,
 		Workers:     *workers,
 	})
 

@@ -243,8 +243,8 @@ func NewIndex[P any](rng *Rand, fam Family[P], L int, points []P) *Index[P] {
 }
 
 // AnnulusIndex is the Theorem 6.1 annulus-search structure: a query
-// veneer served by either backend — a frozen static index
-// (NewAnnulusIndex) or a mutable DynamicIndex (NewDynamicAnnulusIndex).
+// veneer served by any backend — a fresh static index (NewAnnulusIndex)
+// or an existing backend, live or snapshot (NewAnnulusIndexOver).
 type AnnulusIndex[P any] = index.AnnulusIndex[P]
 
 // NewAnnulusIndex builds the Theorem 6.1 structure over a fresh static
@@ -253,31 +253,16 @@ func NewAnnulusIndex[P any](rng *Rand, fam Family[P], L int, points []P, within 
 	return index.NewAnnulus(rng, fam, L, points, within)
 }
 
-// NewDynamicAnnulusIndex wraps an existing DynamicIndex in the
-// Theorem 6.1 annulus-search algorithm. The veneer shares the backend's
-// storage: Inserts, Deletes and compactions through dx are visible to
-// subsequent queries immediately, and several veneers may wrap one
-// backend.
-func NewDynamicAnnulusIndex[P any](dx *DynamicIndex[P], within func(q, x P) bool) *AnnulusIndex[P] {
-	return index.NewDynamicAnnulus(dx, within)
-}
-
 // RangeReporter is the Theorem 6.5 output-sensitive reporting structure:
-// a query veneer served by either backend — a frozen static index
-// (NewRangeReporter) or a mutable DynamicIndex (NewDynamicRangeReporter).
+// a query veneer served by any backend — a fresh static index
+// (NewRangeReporter) or an existing backend, live or snapshot
+// (NewRangeReporterOver).
 type RangeReporter[P any] = index.RangeReporter[P]
 
 // NewRangeReporter builds the Theorem 6.5 structure over a fresh static
 // index.
 func NewRangeReporter[P any](rng *Rand, fam Family[P], L int, points []P, inRange func(q, x P) bool) *RangeReporter[P] {
 	return index.NewRangeReporter(rng, fam, L, points, inRange)
-}
-
-// NewDynamicRangeReporter wraps an existing DynamicIndex in the
-// Theorem 6.5 reporting algorithm; mutations through dx are visible to
-// subsequent queries immediately.
-func NewDynamicRangeReporter[P any](dx *DynamicIndex[P], inRange func(q, x P) bool) *RangeReporter[P] {
-	return index.NewDynamicRangeReporter(dx, inRange)
 }
 
 // RepetitionsForCPF returns L = ceil(1/f).
@@ -293,7 +278,7 @@ func RepetitionsForCPF(f float64) int { return index.RepetitionsForCPF(f) }
 // hash-key columns, so every merge (monolithic or tiered, see
 // CompactionPolicy) moves memory instead of re-evaluating hash functions.
 // Compact folds everything into one flat segment, after which steady-state
-// queries through a DynamicQuerier allocate nothing.
+// queries through a Querier allocate nothing.
 type DynamicIndex[P any] = index.DynamicIndex[P]
 
 // DynamicOptions configures a DynamicIndex (memtable freeze threshold,
@@ -327,10 +312,6 @@ const (
 // their GCStats methods. Only CompactLeveled reclaims bitmap storage and
 // collects rows permanently.
 type GCStats = index.GCStats
-
-// DynamicQuerier is the reusable per-goroutine query scratch of a
-// DynamicIndex; obtain one with DynamicIndex.NewQuerier.
-type DynamicQuerier[P any] = index.DynamicQuerier[P]
 
 // NewDynamicIndex builds a dynamic index over the initial points (global
 // ids 0..len-1) with L repetitions of fam. It consumes rng exactly like
@@ -470,22 +451,18 @@ type Snapshot[P any] = index.Snapshot[P]
 // by the epoch barrier). Obtain one with ShardedIndex.Snapshot.
 type ShardedSnapshot[P any] = index.ShardedSnapshot[P]
 
-// SnapshotQuerier is the reusable per-goroutine query scratch of a
-// Snapshot or ShardedSnapshot; obtain one with their NewQuerier methods.
-type SnapshotQuerier[P any] = index.SnapshotQuerier[P]
-
-// ShardedQuerier is the reusable per-goroutine query scratch of a
-// ShardedIndex; obtain one with ShardedIndex.NewQuerier.
-type ShardedQuerier[P any] = index.ShardedQuerier[P]
-
-// Source is a serving backend handle: every index backend in this package
-// (Index, DynamicIndex, ShardedIndex, Snapshot, ShardedSnapshot)
-// satisfies it, and the Over constructors bind predicate veneers to one.
+// Source is a serving backend handle and the query surface every index
+// backend shares (Index, DynamicIndex, ShardedIndex, Snapshot,
+// ShardedSnapshot all satisfy it): CollectDistinct, Candidates,
+// QueryBatch and NewQuerier. The Over constructors bind predicate veneers
+// to one.
 type Source[P any] = index.Source[P]
 
 // NewAnnulusIndexOver wraps any serving backend — static, dynamic,
 // sharded, or a snapshot of either — in the Theorem 6.1 annulus-search
-// algorithm.
+// algorithm. The veneer shares the backend's storage: mutations on a live
+// backend are visible to subsequent queries immediately, and several
+// veneers may wrap one backend.
 func NewAnnulusIndexOver[P any](src Source[P], within func(q, x P) bool) *AnnulusIndex[P] {
 	return index.NewAnnulusOver(src, within)
 }
@@ -497,13 +474,14 @@ func NewRangeReporterOver[P any](src Source[P], inRange func(q, x P) bool) *Rang
 	return index.NewRangeReporterOver(src, inRange)
 }
 
-// Querier is a reusable query-scratch object bound to one Index: an
+// Querier is a reusable query-scratch object bound to one backend: an
 // epoch-stamped visited array for deduplication, a negated-query buffer,
-// and a reusable output buffer. Obtain one with Index.NewQuerier; a
-// Querier is not safe for concurrent use (use one per goroutine).
-// Steady-state queries through a Querier perform no heap allocations; its
-// CollectDistinct returns a slice that is only valid until the Querier's
-// next use.
+// and a reusable output buffer. Obtain one with NewQuerier on any backend
+// (Index, DynamicIndex, ShardedIndex, Snapshot, ShardedSnapshot) or on a
+// veneer's Source(); a Querier is not safe for concurrent use (use one
+// per goroutine). Steady-state queries through a Querier perform no heap
+// allocations; its CollectDistinct returns a slice that is only valid
+// until the Querier's next use.
 type Querier[P any] = index.Querier[P]
 
 // Privacy (Section 6.4).

@@ -330,9 +330,9 @@ func TestFacadeDynamicVeneers(t *testing.T) {
 	defer dx.Close()
 
 	anything := func(q, x []float64) bool { return true }
-	ai := dsh.NewDynamicAnnulusIndex(dx, anything)
-	rr := dsh.NewDynamicRangeReporter(dx, anything)
-	if ai.Dynamic() != dx || rr.Dynamic() != dx || ai.Index() != nil {
+	ai := dsh.NewAnnulusIndexOver(dx, anything)
+	rr := dsh.NewRangeReporterOver(dx, anything)
+	if ai.Source() != dsh.Source[[]float64](dx) || rr.Source() != dsh.Source[[]float64](dx) {
 		t.Fatal("veneer backend accessors wrong through the facade")
 	}
 

@@ -9,7 +9,7 @@
 // because every layer retains its key columns.
 //
 // The annulus-search veneer is the same AnnulusIndex that serves static
-// indexes: dsh.NewDynamicAnnulusIndex wraps the mutating backend in the
+// indexes: dsh.NewAnnulusIndexOver wraps the mutating backend in the
 // Theorem 6.1 query algorithm unchanged.
 //
 //	go run ./examples/churn
@@ -59,7 +59,7 @@ func main() {
 	}
 	// The Theorem 6.1 annulus veneer over the mutating backend: Query
 	// returns the first in-band candidate, scanning at most 8L.
-	recommender := dsh.NewDynamicAnnulusIndex(dx, inBand)
+	recommender := dsh.NewAnnulusIndexOver(dx, inBand)
 
 	// Publish the rest of the corpus and retract a scattering of old
 	// articles; the memtable absorbs inserts, the tombstone bitmap hides

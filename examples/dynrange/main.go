@@ -1,7 +1,7 @@
 // Dynrange: output-sensitive range reporting over a mutating index. A
 // fleet of sensors streams readings embedded on the unit sphere; an
 // operator repeatedly asks "every reading similar to this one" while new
-// readings arrive and stale ones are retired. dsh.NewDynamicRangeReporter
+// readings arrive and stale ones are retired. dsh.NewRangeReporterOver
 // wraps a DynamicIndex in the Theorem 6.5 reporting algorithm — the same
 // RangeReporter veneer that serves static indexes — so the report set
 // tracks the live corpus: freshly inserted readings appear immediately,
@@ -54,7 +54,7 @@ func main() {
 	defer dx.Close()
 
 	inBand := func(q, x []float64) bool { return vec.Dot(q, x) >= bandLo }
-	rr := dsh.NewDynamicRangeReporter(dx, inBand)
+	rr := dsh.NewRangeReporterOver(dx, inBand)
 
 	fmt.Printf("reporting over a live corpus: %d initial readings, %d streaming in\n\n", initial, stream)
 

@@ -30,8 +30,10 @@ type BatchOptions struct {
 	// GOMAXPROCS.
 	Workers int
 	// MaxCandidates caps the number of distinct candidates collected per
-	// query by Index.QueryBatch (<= 0 means no limit). The other batch
-	// entry points ignore it.
+	// query by every distinct-candidate batch path — QueryBatch on any
+	// backend and ShardedSnapshot.QueryBatchSigned — exactly like the max
+	// argument of CollectDistinct (<= 0 means no limit). The annulus and
+	// range-reporting batch paths ignore it.
 	MaxCandidates int
 	// NoBlockHash disables the repetition-blocked batch pre-hash in the
 	// distinct-candidate and range-reporting batch paths. By default those
@@ -198,108 +200,116 @@ func recordBatch(start time.Time) time.Duration {
 	return wall
 }
 
-// batchPreHash runs the repetition-blocked pre-hash for a batch unless
-// disabled, returning the key block (nil when skipped) and the wall time
-// it cost. Callers fold that time back into the batch wall so QPS stays
-// honest about total work.
-func batchPreHash[P any](src candidateSource[P], queries []P, opts BatchOptions) (*blockKeys, time.Duration) {
-	if opts.NoBlockHash {
-		return nil, 0
-	}
-	start := time.Now()
-	bk := blockHash(src, queries, opts.workerCount(len(queries)))
-	if bk == nil {
-		return nil, 0
-	}
-	return bk, time.Since(start)
-}
-
-// installPreKeys points a pooled querier at query i's column of the key
-// block; a nil block is a no-op (the querier hashes inline as usual).
-func installPreKeys[P any](sq *sourceQuerier[P], bk *blockKeys, i int) {
-	if bk != nil {
-		sq.preKeys, sq.preStride, sq.preOff = bk.keys, bk.q, i
-	}
-}
-
-// collectBatch is the shared distinct-candidate batch engine: the query
-// block is pre-hashed repetition by repetition (see blockHash), then one
-// pooled sourceQuerier per worker consumes the key block. Results are
-// identical to sequential CollectDistinct calls in query order. Both
-// backends' QueryBatch methods delegate here.
-func collectBatch[P any](src candidateSource[P], queries []P, opts BatchOptions) ([][]int, []QueryStats, BatchStats) {
-	out := make([][]int, len(queries))
+// runBatch is the batch skeleton behind every batch entry point. It opens
+// and closes one empty read window in the caller's goroutine first, so a
+// backend that refuses reads (a released snapshot) panics there rather
+// than inside a worker goroutine, where the panic would kill the process.
+// It then pre-hashes the query block repetition by repetition (see
+// blockHash) — always in signed mode, otherwise unless opts.NoBlockHash is
+// set or the batch is too small — and in signed mode folds every query's
+// signature out of the key block. Finally it fans the queries across
+// opts.Workers workers with one pooled Querier each: query answers query
+// i through a querier holding that query's column of the key block and
+// returns its stats. Per-query Latency excludes the shared pre-hash; the
+// batch Wall (and therefore QPS) includes it.
+func (rp *readPath[P]) runBatch(queries []P, opts BatchOptions, signed bool, query func(i int, qr *Querier[P]) QueryStats) ([]uint64, []QueryStats, BatchStats) {
+	rp.src.beginRead()
+	rp.src.endRead()
 	per := make([]QueryStats, len(queries))
-	bk, preWall := batchPreHash(src, queries, opts)
-	wall := runBatchScratch(len(queries), opts, src.acquireSQ, src.releaseSQ,
-		func(i int, _ *xrand.Rand, sq *sourceQuerier[P]) {
+	var bk *blockKeys
+	preStart := time.Now()
+	switch {
+	case signed && len(queries) > 0:
+		bk = rp.blockHashAll(queries, opts.workerCount(len(queries)))
+	case !signed && !opts.NoBlockHash:
+		bk = rp.blockHash(queries, opts.workerCount(len(queries)))
+	}
+	var preWall time.Duration
+	if bk != nil {
+		preWall = time.Since(preStart)
+		defer bk.release()
+	}
+	var sigs []uint64
+	if signed {
+		sigs = make([]uint64, len(queries))
+		for i := range sigs {
+			sigs[i] = bk.sig(i)
+		}
+	}
+	wall := runBatchScratch(len(queries), opts, rp.acquireSQ, rp.releaseSQ,
+		func(i int, _ *xrand.Rand, qr *Querier[P]) {
 			start := time.Now()
-			installPreKeys(sq, bk, i)
-			res, st := sq.collectDistinct(queries[i], opts.MaxCandidates)
-			sq.preKeys = nil
-			if len(res) > 0 {
-				out[i] = make([]int, len(res))
-				copy(out[i], res)
+			if bk != nil {
+				qr.preKeys, qr.preStride, qr.preOff = bk.keys, bk.q, i
 			}
-			per[i] = st
+			per[i] = query(i, qr)
+			qr.preKeys = nil
 			per[i].Latency = time.Since(start)
 		})
-	if bk != nil {
-		bk.release()
-	}
-	return out, per, AggregateStats(per, wall+preWall)
+	return sigs, per, AggregateStats(per, wall+preWall)
+}
+
+// collectBatch is the distinct-candidate batch engine behind QueryBatch
+// and ShardedSnapshot.QueryBatchSigned. Results are identical to
+// sequential CollectDistinct(q, opts.MaxCandidates) calls in query order;
+// signed mode only forces the key block and returns the signatures folded
+// from it, so its ids and stats are bit-identical to the unsigned mode's.
+func (rp *readPath[P]) collectBatch(queries []P, opts BatchOptions, signed bool) ([][]int, []uint64, []QueryStats, BatchStats) {
+	out := make([][]int, len(queries))
+	sigs, per, agg := rp.runBatch(queries, opts, signed, func(i int, qr *Querier[P]) QueryStats {
+		res, st := qr.CollectDistinct(queries[i], opts.MaxCandidates)
+		out[i] = ownedIDs(res)
+		return st
+	})
+	return out, sigs, per, agg
 }
 
 // QueryBatch collects distinct candidates for every query concurrently,
-// fanning the batch across opts.Workers workers. Results are identical to
-// calling CollectDistinct(q, opts.MaxCandidates) sequentially for each
-// query, in query order; only the wall-clock time changes. Per-query
-// stats (including latency) and aggregated batch stats are returned
-// alongside the candidate lists.
-func (ix *Index[P]) QueryBatch(queries []P, opts BatchOptions) ([][]int, []QueryStats, BatchStats) {
-	return collectBatch[P](ix, queries, opts)
+// fanning the batch across opts.Workers workers with one pooled Querier
+// per worker (so the steady-state batch path does not allocate per
+// query). Results are identical to calling
+// CollectDistinct(q, opts.MaxCandidates) sequentially for each query, in
+// query order; only the wall-clock time changes. Per-query stats
+// (including latency) and aggregated batch stats are returned alongside
+// the candidate lists. Over a live dynamic or sharded backend, mutations
+// and compactions may proceed concurrently: each query sees one
+// consistent read window, and its QueryStats aggregate the probes and
+// candidates of every layer (and every shard) for each repetition it
+// executed.
+func (rp *readPath[P]) QueryBatch(queries []P, opts BatchOptions) ([][]int, []QueryStats, BatchStats) {
+	out, _, per, agg := rp.collectBatch(queries, opts, false)
+	return out, per, agg
 }
 
-// QueryBatch answers every annulus query concurrently, over either
-// backend. Element i of the returned slice is exactly what
-// Query(queries[i]) returns: the id of some point within the report
-// interval, or -1 after the 8L early termination bound. This path skips
-// the repetition-blocked pre-hash on purpose: annulus queries usually
-// terminate after scanning a few repetitions, so hashing every query
-// against all L draws up front would mostly be thrown away.
+// QueryBatch answers every annulus query concurrently, over any backend.
+// Element i of the returned slice is exactly what Query(queries[i])
+// returns: the id of some point within the report interval, or -1 after
+// the 8L early termination bound. This path skips the repetition-blocked
+// pre-hash on purpose: annulus queries usually terminate after scanning a
+// few repetitions, so hashing every query against all L draws up front
+// would mostly be thrown away.
 func (ai *AnnulusIndex[P]) QueryBatch(queries []P, opts BatchOptions) ([]int, []QueryStats, BatchStats) {
 	out := make([]int, len(queries))
-	per := make([]QueryStats, len(queries))
-	src := ai.src
-	wall := runBatchScratch(len(queries), opts, src.acquireSQ, src.releaseSQ,
-		func(i int, _ *xrand.Rand, sq *sourceQuerier[P]) {
-			start := time.Now()
-			out[i], per[i] = sq.annulusQuery(queries[i], ai.within)
-			per[i].Latency = time.Since(start)
-		})
-	return out, per, AggregateStats(per, wall)
+	opts.NoBlockHash = true
+	_, per, agg := ai.src.reads().runBatch(queries, opts, false, func(i int, qr *Querier[P]) QueryStats {
+		var st QueryStats
+		out[i], st = qr.annulusQuery(queries[i], ai.within)
+		return st
+	})
+	return out, per, agg
 }
 
-// QueryBatch runs every range-reporting query concurrently, over either
+// QueryBatch runs every range-reporting query concurrently, over any
 // backend. Element i of the returned slice is exactly what
 // Query(queries[i]) returns.
 func (rr *RangeReporter[P]) QueryBatch(queries []P, opts BatchOptions) ([][]int, []QueryStats, BatchStats) {
 	out := make([][]int, len(queries))
-	per := make([]QueryStats, len(queries))
-	src := rr.src
-	bk, preWall := batchPreHash(src, queries, opts)
-	wall := runBatchScratch(len(queries), opts, src.acquireSQ, src.releaseSQ,
-		func(i int, _ *xrand.Rand, sq *sourceQuerier[P]) {
-			start := time.Now()
-			installPreKeys(sq, bk, i)
-			out[i], per[i] = sq.appendRange(nil, queries[i], rr.inRange)
-			sq.preKeys = nil
-			per[i].Latency = time.Since(start)
-		})
-	if bk != nil {
-		bk.release()
-	}
-	return out, per, AggregateStats(per, wall+preWall)
+	_, per, agg := rr.src.reads().runBatch(queries, opts, false, func(i int, qr *Querier[P]) QueryStats {
+		var st QueryStats
+		out[i], st = qr.appendRange(nil, queries[i], rr.inRange)
+		return st
+	})
+	return out, per, agg
 }
 
 // QueryBatch answers every hyperplane query concurrently, mirroring

@@ -104,11 +104,11 @@ func (nb *negBlock) release() { negBlockPool.Put(nb) }
 // Hash evaluations are deliberately NOT counted here: queriers count them
 // at consumption time (one per repetition scanned), so the metrics plane
 // reports identical totals whether or not a batch was pre-hashed.
-func blockHash[P any](src candidateSource[P], queries []P, workers int) *blockKeys {
-	if len(queries) < blockHashMinQueries || len(src.srcPairs()) == 0 {
+func (rp *readPath[P]) blockHash(queries []P, workers int) *blockKeys {
+	if len(queries) < blockHashMinQueries || len(rp.pairs) == 0 {
 		return nil
 	}
-	return blockHashAll(src, queries, workers)
+	return rp.blockHashAll(queries, workers)
 }
 
 // blockHashAll is blockHash without the minimum-batch cutoff: it always
@@ -116,11 +116,11 @@ func blockHash[P any](src candidateSource[P], queries []P, workers int) *blockKe
 // signed batch path feeding the serving edge's hot-query cache — use it so
 // even a one-query batch yields a signature). Requires len(queries) > 0
 // and L > 0.
-func blockHashAll[P any](src candidateSource[P], queries []P, workers int) *blockKeys {
+func (rp *readPath[P]) blockHashAll(queries []P, workers int) *blockKeys {
 	qn := len(queries)
-	pairs := src.srcPairs()
+	pairs := rp.pairs
 	l := len(pairs)
-	negG := src.srcNegG()
+	negG := rp.negG
 	var negs [][]float64
 	var nb *negBlock
 	for i, nh := range negG {

@@ -76,7 +76,7 @@ func TestBatchHashKeyBlockMatchesGKeys(t *testing.T) {
 			ix := New(rng, fam, 12, pts)
 			queries := workload.SpherePoints(rng, 16, testDim)
 
-			bk := blockHash[[]float64](ix, queries, 4)
+			bk := ix.blockHash(queries, 4)
 			if bk == nil {
 				t.Fatal("blockHash skipped a batch above the minimum size")
 			}
@@ -103,7 +103,7 @@ func TestBatchHashSmallBatchFallsBack(t *testing.T) {
 	pts := workload.SpherePoints(rng, 200, testDim)
 	ix := New(rng, sphere.FastCrossPolytope(testDim), 12, pts)
 	queries := workload.SpherePoints(rng, blockHashMinQueries-1, testDim)
-	if bk := blockHash[[]float64](ix, queries, 4); bk != nil {
+	if bk := ix.blockHash(queries, 4); bk != nil {
 		bk.release()
 		t.Fatal("blockHash should skip batches below blockHashMinQueries")
 	}

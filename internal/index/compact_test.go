@@ -214,8 +214,8 @@ func TestDynamicConcurrentQueryAsyncFreeze(t *testing.T) {
 	dx := NewDynamic[[]float64](xrand.New(82), dynamicFamily(), 10, pts[:200],
 		DynamicOptions{MemtableThreshold: 16, AsyncFreeze: true})
 	within := withinSim(-1, 2)
-	ai := NewDynamicAnnulus(dx, within)
-	rr := NewDynamicRangeReporter(dx, within)
+	ai := NewAnnulusOver(dx, within)
+	rr := NewRangeReporterOver(dx, within)
 
 	queries := workload.SpherePoints(xrand.New(83), 8, testDim)
 	stop := make(chan struct{})

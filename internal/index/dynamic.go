@@ -102,12 +102,11 @@ func (o DynamicOptions) withDefaults() DynamicOptions {
 // rewrites (async-freeze installs and compaction merges); it is always
 // acquired before mu and never held while blocking on queries, so the
 // expensive table builds run with neither queries nor inserts stalled.
-// Steady-state queries through a DynamicQuerier perform no heap
-// allocations once the memtable has been compacted away.
+// Steady-state queries through a Querier perform no heap allocations
+// once the memtable has been compacted away.
 type DynamicIndex[P any] struct {
-	pairs []core.Pair[P]
-	negG  []negQueryHasher
-	opts  DynamicOptions
+	readPath[P]
+	opts DynamicOptions
 
 	// mu guards every field below it. Queries hold it shared; Insert,
 	// Delete and the structural swaps of freezes and merges hold it
@@ -161,8 +160,6 @@ type DynamicIndex[P any] struct {
 
 	// mergeMu serializes structural rewrites; see the type comment.
 	mergeMu sync.Mutex
-
-	queriers sync.Pool
 
 	// keyBufs pools the per-insert data-side key scratch ([]uint64 of
 	// length L, boxed to avoid an interface allocation per Get/Put) so the
@@ -231,13 +228,11 @@ func newDynamicFromPairs[P any](pairs []core.Pair[P], negG []negQueryHasher, poi
 // (single-threaded, unpublished) before any goroutine can touch the index.
 func newDynamicShell[P any](pairs []core.Pair[P], negG []negQueryHasher, opts DynamicOptions) *DynamicIndex[P] {
 	dx := &DynamicIndex[P]{
-		pairs:  pairs,
-		negG:   negG,
 		opts:   opts.withDefaults(),
 		stripe: obs.NextStripe(),
 	}
+	dx.bind(dx, pairs, negG)
 	dx.mem = newMemtable(len(pairs), dx.opts.MemtableThreshold)
-	dx.queriers.New = func() any { return newSourceQuerier[P](dx, 0) }
 	dx.keyBufs.New = func() any {
 		buf := make([]uint64, len(dx.pairs))
 		return &buf
@@ -256,10 +251,6 @@ func (dx *DynamicIndex[P]) startCompactor() {
 	dx.wg.Add(1)
 	go dx.backgroundCompactor()
 }
-
-// L returns the number of repetitions. The repetition draws are immutable
-// after construction, so L takes no lock and may be called at any time.
-func (dx *DynamicIndex[P]) L() int { return len(dx.pairs) }
 
 // Len returns the number of live (inserted and not deleted) points. It
 // takes the structural read-lock briefly and is safe for concurrent use,
@@ -681,9 +672,6 @@ func (dx *DynamicIndex[P]) nudgeCompactor() {
 // acquisition of mu: appendCandidates and srcPoint run under it, so every
 // query sees one consistent layer list and tombstone state.
 
-func (dx *DynamicIndex[P]) srcPairs() []core.Pair[P]  { return dx.pairs }
-func (dx *DynamicIndex[P]) srcNegG() []negQueryHasher { return dx.negG }
-
 func (dx *DynamicIndex[P]) beginRead() int {
 	dx.mu.RLock()
 	return len(dx.points)
@@ -723,70 +711,6 @@ func (dx *DynamicIndex[P]) appendCandidates(rep int, key uint64, dst []int32) ([
 		}
 	}
 	return dst, probes
-}
-
-func (dx *DynamicIndex[P]) acquireSQ() *sourceQuerier[P] {
-	return dx.queriers.Get().(*sourceQuerier[P])
-}
-func (dx *DynamicIndex[P]) releaseSQ(sq *sourceQuerier[P]) { dx.queriers.Put(sq) }
-
-// CollectDistinct gathers up to max distinct live candidate ids for q
-// (max <= 0 means no limit). The returned slice is freshly allocated and
-// owned by the caller; use a DynamicQuerier for the zero-allocation
-// variant. Safe for concurrent use — the query holds the structural lock
-// shared for its whole read window, so it sees one consistent layer list
-// and tombstone state even during compactions and freezes.
-func (dx *DynamicIndex[P]) CollectDistinct(q P, max int) []int {
-	return collectDistinctOwned[P](dx, q, max)
-}
-
-// Candidates streams the live ids colliding with q, repetition by
-// repetition across every layer (duplicates across repetitions included),
-// invoking visit for each. If visit returns false the scan stops early.
-// visit runs inside the query's read window: it must not call back into
-// this index's mutating or locking methods, or the scan deadlocks.
-func (dx *DynamicIndex[P]) Candidates(q P, visit func(id int) bool) {
-	streamCandidates[P](dx, q, visit)
-}
-
-// DynamicQuerier is the reusable query scratch of a DynamicIndex,
-// mirroring Querier: an epoch-stamped visited array over global ids, a
-// negated-query buffer, and reusable candidate/output buffers. A
-// DynamicQuerier is not safe for concurrent use; use one per goroutine
-// (QueryBatch hands each worker its own). Steady-state queries allocate
-// nothing unless the global id space grew since the previous query on
-// this querier.
-type DynamicQuerier[P any] struct {
-	sourceQuerier[P]
-}
-
-// NewQuerier returns a fresh DynamicQuerier bound to dx.
-func (dx *DynamicIndex[P]) NewQuerier() *DynamicQuerier[P] {
-	return &DynamicQuerier[P]{sourceQuerier: *newSourceQuerier[P](dx, 0)}
-}
-
-// CollectDistinct gathers up to max distinct live candidate ids for q
-// (max <= 0 means no limit): per repetition, the query key probes every
-// frozen segment oldest-first, then every detached memtable, then the
-// live memtable, skipping tombstoned ids and deduplicating across
-// repetitions and layers. The candidate order always equals that of a
-// static Index over the live points (with ids mapped through the
-// survivors' global ids). The returned slice is owned by the querier and
-// valid only until its next use.
-func (qr *DynamicQuerier[P]) CollectDistinct(q P, max int) ([]int, QueryStats) {
-	return qr.collectDistinct(q, max)
-}
-
-// QueryBatch collects distinct live candidates for every query
-// concurrently, fanning the batch across opts.Workers workers with one
-// pooled querier per worker (so the steady-state batch path does not
-// allocate per query). Mutations and compactions may proceed
-// concurrently; each individual query sees a consistent snapshot of the
-// index, and its QueryStats aggregate the probes and candidates of every
-// layer — all segments, detached memtables, and the live memtable — for
-// each repetition it executed.
-func (dx *DynamicIndex[P]) QueryBatch(queries []P, opts BatchOptions) ([][]int, []QueryStats, BatchStats) {
-	return collectBatch[P](dx, queries, opts)
 }
 
 // backgroundCompactor merges segments whenever a freeze pushes the count

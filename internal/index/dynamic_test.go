@@ -267,7 +267,7 @@ func TestDynamicConcurrentQueryCompact(t *testing.T) {
 
 // TestDynamicSteadyStateZeroAlloc is the acceptance criterion: after a
 // churn phase and a Compact, CollectDistinct through a reused
-// DynamicQuerier performs no heap allocations.
+// Querier performs no heap allocations.
 func TestDynamicSteadyStateZeroAlloc(t *testing.T) {
 	rng := xrand.New(11)
 	pts := workload.SpherePoints(rng, 2000, testDim)

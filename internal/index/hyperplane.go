@@ -47,7 +47,7 @@ func (hi *HyperplaneIndex) Query(q []float64) (int, QueryStats) {
 // NewQuerier returns a reusable query scratch bound to the underlying
 // index, for callers that drive many sequential queries through QueryWith.
 func (hi *HyperplaneIndex) NewQuerier() *Querier[[]float64] {
-	return hi.inner.Index().NewQuerier()
+	return hi.inner.Source().NewQuerier()
 }
 
 // QueryWith is Query with an explicit Querier, avoiding the internal
@@ -60,7 +60,7 @@ func (hi *HyperplaneIndex) QueryWith(qr *Querier[[]float64], q []float64) (int, 
 func (hi *HyperplaneIndex) Alpha() float64 { return hi.alpha }
 
 // L returns the repetition count of the underlying index.
-func (hi *HyperplaneIndex) L() int { return hi.inner.Index().L() }
+func (hi *HyperplaneIndex) L() int { return hi.inner.Source().L() }
 
 // HyperplaneRho returns the paper's exponent for hyperplane queries with
 // guarantee band [-alpha, alpha]: rho* = (1 - alpha^2) / (1 + alpha^2)

@@ -1,9 +1,13 @@
 // Package index implements the paper's Section 6 applications as hash-table
 // data structures built on DSH families.
 //
-// Serving is organized around a single candidateSource core (source.go): a
+// Serving is organized around one read path (source.go). Each backend
+// implements only the storage primitives of candidateSource — a
 // per-repetition key probe plus tombstone-aware candidate iteration under
-// stable point ids. Four backends implement it:
+// stable point ids — and embeds readPath, which holds the repetition
+// draws and the Querier pool and declares the shared query surface
+// (CollectDistinct, Candidates, QueryBatch, NewQuerier) once. Five
+// backends implement it:
 //
 //   - Index: the frozen flat-table backend (table.go) — each repetition is
 //     an open-addressed key array plus a CSR id array built once at
@@ -23,7 +27,7 @@
 //     snapshot-isolated scans and queries while the live index mutates.
 //
 // The query structures are veneers written once over that core and served
-// by either backend (veneer.go):
+// by any backend (veneer.go):
 //
 //   - AnnulusIndex (Theorems 6.1, 6.2, 6.4): retrieve a point whose
 //     distance/similarity to the query lies in a target interval, with the
@@ -36,13 +40,12 @@
 //     baseline.go.
 //
 // Query-time scratch (dedup sets, negated-query buffers, candidate and
-// output buffers) lives in reusable querier objects so the steady-state
-// query path performs no heap allocations on either backend.
+// output buffers) lives in reusable Querier objects so the steady-state
+// query path performs no heap allocations on any backend.
 package index
 
 import (
 	"math"
-	"sync"
 	"time"
 
 	"dsh/internal/core"
@@ -65,21 +68,14 @@ type negQueryHasher interface {
 // concurrent querying; it is the frozen backend of the candidateSource
 // core.
 type Index[P any] struct {
+	readPath[P]
 	family core.Family[P]
-	pairs  []core.Pair[P]
-	// negG[i] is non-nil iff pairs[i].G hashes the negated query, in
-	// which case queriers negate the query once and call HashNeg per
-	// repetition.
-	negG   []negQueryHasher
 	tables []flatTable
 	points []P
-	// queriers pools *sourceQuerier scratch for the single-query and batch
-	// entry points.
-	queriers sync.Pool
 }
 
-// newIndexShell allocates an Index with empty tables and wires the
-// querier pool.
+// newIndexShell allocates an Index with empty tables and unsampled
+// repetition draws, bound to its read path.
 func newIndexShell[P any](family core.Family[P], L int, points []P) *Index[P] {
 	if family == nil {
 		panic("index: family must be non-nil")
@@ -89,11 +85,10 @@ func newIndexShell[P any](family core.Family[P], L int, points []P) *Index[P] {
 	}
 	ix := &Index[P]{
 		family: family,
-		pairs:  make([]core.Pair[P], L),
 		tables: make([]flatTable, L),
 		points: points,
 	}
-	ix.queriers.New = func() any { return newSourceQuerier[P](ix, len(ix.points)) }
+	ix.bind(ix, make([]core.Pair[P], L), nil)
 	return ix
 }
 
@@ -138,9 +133,6 @@ func New[P any](rng *xrand.Rand, family core.Family[P], L int, points []P) *Inde
 	return ix
 }
 
-// L returns the number of repetitions.
-func (ix *Index[P]) L() int { return len(ix.pairs) }
-
 // Len returns the number of indexed points.
 func (ix *Index[P]) Len() int { return len(ix.points) }
 
@@ -151,79 +143,12 @@ func (ix *Index[P]) Point(id int) P { return ix.points[id] }
 // window is free and candidate iteration is a single flat-table lookup per
 // repetition.
 
-func (ix *Index[P]) srcPairs() []core.Pair[P]  { return ix.pairs }
-func (ix *Index[P]) srcNegG() []negQueryHasher { return ix.negG }
-func (ix *Index[P]) beginRead() int            { return len(ix.points) }
-func (ix *Index[P]) endRead()                  {}
-func (ix *Index[P]) srcPoint(id int) P         { return ix.points[id] }
+func (ix *Index[P]) beginRead() int    { return len(ix.points) }
+func (ix *Index[P]) endRead()          {}
+func (ix *Index[P]) srcPoint(id int) P { return ix.points[id] }
 
 func (ix *Index[P]) appendCandidates(rep int, key uint64, dst []int32) ([]int32, int) {
 	return append(dst, ix.tables[rep].lookup(key)...), 1
-}
-
-func (ix *Index[P]) acquireSQ() *sourceQuerier[P]   { return ix.queriers.Get().(*sourceQuerier[P]) }
-func (ix *Index[P]) releaseSQ(sq *sourceQuerier[P]) { ix.queriers.Put(sq) }
-
-// Candidates streams the ids colliding with query q, table by table
-// (duplicates across tables included), invoking visit for each. If visit
-// returns false the scan stops early.
-func (ix *Index[P]) Candidates(q P, visit func(id int) bool) {
-	sq := ix.acquireSQ()
-	sq.candidates(q, visit)
-	ix.releaseSQ(sq)
-}
-
-// CollectDistinct gathers up to max distinct candidate ids for q
-// (max <= 0 means no limit). The returned slice is freshly allocated and
-// owned by the caller; use a Querier for the zero-allocation variant.
-func (ix *Index[P]) CollectDistinct(q P, max int) []int {
-	out, _ := ix.collectDistinct(q, max)
-	return out
-}
-
-// collectDistinct is CollectDistinct plus the candidate/distinct counters.
-func (ix *Index[P]) collectDistinct(q P, max int) ([]int, QueryStats) {
-	sq := ix.acquireSQ()
-	res, stats := sq.collectDistinct(q, max)
-	var out []int
-	if len(res) > 0 {
-		out = make([]int, len(res))
-		copy(out, res)
-	}
-	ix.releaseSQ(sq)
-	return out, stats
-}
-
-// Querier is a reusable query-scratch object bound to one Index: an
-// epoch-stamped visited array sized to Len() (so deduplication never
-// allocates), a negated-query buffer for NegateQuery-backed families, and
-// reusable candidate/output buffers. A Querier is not safe for concurrent
-// use; use one per goroutine (the batch engine hands each worker its own,
-// and the single-query entry points draw from an internal pool).
-// Steady-state queries through a Querier perform no heap allocations.
-type Querier[P any] struct {
-	sourceQuerier[P]
-}
-
-// NewQuerier returns a fresh Querier bound to ix.
-func (ix *Index[P]) NewQuerier() *Querier[P] {
-	return &Querier[P]{sourceQuerier: *newSourceQuerier[P](ix, len(ix.points))}
-}
-
-// Candidates streams the ids colliding with q exactly like
-// Index.Candidates, using this Querier's scratch for the per-query
-// negated-hash hoisting.
-func (qr *Querier[P]) Candidates(q P, visit func(id int) bool) {
-	qr.candidates(q, visit)
-}
-
-// CollectDistinct gathers up to max distinct candidate ids for q (max <= 0
-// means no limit), returning the same ids in the same order as
-// Index.CollectDistinct. The returned slice is owned by the Querier and
-// valid only until its next use; steady-state calls perform no heap
-// allocations.
-func (qr *Querier[P]) CollectDistinct(q P, max int) ([]int, QueryStats) {
-	return qr.collectDistinct(q, max)
 }
 
 // QueryStats reports the work performed by a query.

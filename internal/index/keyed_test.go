@@ -189,10 +189,10 @@ func TestKeyedUpsertMatchesStaticRebuild(t *testing.T) {
 				}
 
 				sq := sx.acquireSQ()
-				_, gotStats := sq.collectDistinct(q, 0)
+				_, gotStats := sq.CollectDistinct(q, 0)
 				sx.releaseSQ(sq)
 				uq := single.acquireSQ()
-				_, wantStats := uq.collectDistinct(q, 0)
+				_, wantStats := uq.CollectDistinct(q, 0)
 				single.releaseSQ(uq)
 				if gotStats.Candidates != wantStats.Candidates || gotStats.Distinct != wantStats.Distinct {
 					t.Fatalf("seed %d %s query %d: keyed stats %+v != single-shard %+v", seed, label, qi, gotStats, wantStats)

@@ -9,7 +9,7 @@ import (
 // Process-wide serving-core metrics, registered once in the obs default
 // registry. All counters and histograms are striped: each DynamicIndex
 // (therefore each shard) records write-path metrics on its own stripe,
-// and each pooled sourceQuerier records query-path metrics on its own —
+// and each Querier records query-path metrics on its own —
 // queriers are per-goroutine, so concurrent batch workers never contend
 // on a counter cache line. Recording never allocates; the instrumented
 // query and insert benchmarks still report 0 allocs/op.
@@ -104,8 +104,8 @@ var (
 // a handful of atomic adds plus one histogram observation. hashEvals is
 // the number of repetitions the query actually executed (each evaluates
 // g_i(q) once).
-func (sq *sourceQuerier[P]) recordQuery(start time.Time, hashEvals int, stats QueryStats) {
-	st := sq.stripe
+func (qr *Querier[P]) recordQuery(start time.Time, hashEvals int, stats QueryStats) {
+	st := qr.stripe
 	mQueries.Inc(st)
 	mQueryHashEvals.Add(st, uint64(hashEvals))
 	mQueryProbes.Add(st, uint64(stats.Probes))

@@ -853,7 +853,8 @@ func (dx *DynamicIndex[P]) replayOp(op walOp[P], pos durable.Pos) error {
 // ever drops a row, so the replayed row set equals the original's at
 // this record — the resulting ids are bit-identical to the crashed
 // process's even though the replayed layer structure may differ (layer
-// structure never affects candidate order; see DynamicQuerier).
+// structure never affects candidate order; see the DynamicIndex type
+// comment).
 func (dx *DynamicIndex[P]) replayGCRemap(snapBound int, delta int32, dropped []int32) error {
 	var drop bitvec.Bitmap
 	for _, id := range dropped {
@@ -959,14 +960,7 @@ func NewDurableSharded[P any](dir string, seed uint64, family core.Family[P], L 
 	for i := range pairs {
 		pairs[i] = family.Sample(rng)
 	}
-	negG := negHashers(pairs)
-	sx := &ShardedIndex[P]{
-		pairs:   pairs,
-		negG:    negG,
-		shards:  make([]*DynamicIndex[P], opts.Shards),
-		routing: opts.Routing,
-		stripe:  obs.NextStripe(),
-	}
+	sx := newShardedShell(pairs, opts.Shards, opts.Routing)
 	if err := topEnv.WriteManifest(&durable.Manifest{
 		Seed:    seed,
 		L:       uint32(L),
@@ -980,7 +974,7 @@ func NewDurableSharded[P any](dir string, seed uint64, family core.Family[P], L 
 		if err != nil {
 			return nil, err
 		}
-		dx := newDynamicShell(pairs, negG, opts.Dynamic)
+		dx := newDynamicShell(pairs, sx.negG, opts.Dynamic)
 		dx.barrier = &sx.barrier
 		st := &store[P]{env: env, codec: codec, seed: seed}
 		if err := env.WriteManifest(&durable.Manifest{Seq: 1, Watermark: durable.Pos{Seq: 1}, Seed: seed, L: uint32(L)}); err != nil {
@@ -994,7 +988,6 @@ func NewDurableSharded[P any](dir string, seed uint64, family core.Family[P], L 
 		dx.startCompactor()
 		sx.shards[s] = dx
 	}
-	sx.queriers.New = func() any { return newSourceQuerier[P](sx, 0) }
 	return sx, nil
 }
 
@@ -1024,15 +1017,8 @@ func OpenSharded[P any](dir string, family core.Family[P], codec durable.PointCo
 	for i := range pairs {
 		pairs[i] = family.Sample(rng)
 	}
-	negG := negHashers(pairs)
 	K := int(m.Shards)
-	sx := &ShardedIndex[P]{
-		pairs:   pairs,
-		negG:    negG,
-		shards:  make([]*DynamicIndex[P], K),
-		routing: Routing(m.Routing),
-		stripe:  obs.NextStripe(),
-	}
+	sx := newShardedShell(pairs, K, Routing(m.Routing))
 	errs := make([]error, K)
 	var wg sync.WaitGroup
 	for s := 0; s < K; s++ {
@@ -1060,7 +1046,7 @@ func OpenSharded[P any](dir string, family core.Family[P], codec durable.PointCo
 				errs[s] = fmt.Errorf("%w: shard %d manifest (seed %d, L %d) disagrees with top manifest (seed %d, L %d)", durable.ErrCorrupt, s, sm.Seed, sm.L, m.Seed, m.L)
 				return
 			}
-			dx, err := openDynamicFromEnv(env, sm, pairs, negG, codec, dyn)
+			dx, err := openDynamicFromEnv(env, sm, pairs, sx.negG, codec, dyn)
 			if err != nil {
 				errs[s] = err
 				return
@@ -1084,7 +1070,6 @@ func OpenSharded[P any](dir string, family core.Family[P], codec durable.PointCo
 	// inserts stay balanced going forward (a leveled GC may have shrunk
 	// some shards' id spaces, so historical density is not re-established).
 	sx.cursor.Store(uint64(total))
-	sx.queriers.New = func() any { return newSourceQuerier[P](sx, 0) }
 	return sx, nil
 }
 

@@ -75,7 +75,9 @@ type ShardOptions struct {
 // ShardedIndex implements the candidateSource contract, so the
 // AnnulusIndex and RangeReporter veneers (NewAnnulusOver,
 // NewRangeReporterOver), CollectDistinct, Candidates and the QueryBatch
-// engine run over it unchanged.
+// engine run over it unchanged. Each query probes every shard under one
+// consistent read window, and its QueryStats merge the work of all
+// shards — Probes counts bucket lookups across every shard's every layer.
 //
 // Concurrency contract: all methods are safe for concurrent use. A query
 // holds every shard's structural read-lock (acquired in shard order) for
@@ -84,8 +86,7 @@ type ShardOptions struct {
 // every shard for lock-free scans. After Close, Insert and Snapshot panic;
 // queries and deletes on the existing data remain valid.
 type ShardedIndex[P any] struct {
-	pairs   []core.Pair[P]
-	negG    []negQueryHasher
+	readPath[P]
 	shards  []*DynamicIndex[P]
 	routing Routing
 	// cursor routes inserts round-robin; it continues from the initial
@@ -100,8 +101,6 @@ type ShardedIndex[P any] struct {
 	// snapshot path never takes it, so mutators pay only an uncontended
 	// RLock in the common case.
 	barrier sync.RWMutex
-
-	queriers sync.Pool
 
 	// stripe is this index's metrics stripe for the snapshot-barrier
 	// counters, drawn once at construction.
@@ -134,30 +133,32 @@ func NewSharded[P any](rng *xrand.Rand, family core.Family[P], L int, points []P
 	for i := range pairs {
 		pairs[i] = family.Sample(rng)
 	}
-	negG := negHashers(pairs)
 	K := opts.Shards
 	parts := make([][]P, K)
 	for i, p := range points {
 		parts[i%K] = append(parts[i%K], p)
 	}
-	sx := &ShardedIndex[P]{
-		pairs:   pairs,
-		negG:    negG,
-		shards:  make([]*DynamicIndex[P], K),
-		routing: opts.Routing,
-		stripe:  obs.NextStripe(),
-	}
+	sx := newShardedShell(pairs, K, opts.Routing)
 	for s := range sx.shards {
-		sx.shards[s] = newDynamicFromPairs(pairs, negG, parts[s], opts.Dynamic)
+		sx.shards[s] = newDynamicFromPairs(pairs, sx.negG, parts[s], opts.Dynamic)
 		sx.shards[s].barrier = &sx.barrier
 	}
 	sx.cursor.Store(uint64(len(points)))
-	sx.queriers.New = func() any { return newSourceQuerier[P](sx, 0) }
 	return sx
 }
 
-// L returns the number of repetitions.
-func (sx *ShardedIndex[P]) L() int { return len(sx.pairs) }
+// newShardedShell allocates a ShardedIndex with K empty shard slots
+// around already-sampled repetition draws, bound to its read path — the
+// shared skeleton of NewSharded, NewDurableSharded and OpenSharded.
+func newShardedShell[P any](pairs []core.Pair[P], K int, routing Routing) *ShardedIndex[P] {
+	sx := &ShardedIndex[P]{
+		shards:  make([]*DynamicIndex[P], K),
+		routing: routing,
+		stripe:  obs.NextStripe(),
+	}
+	sx.bind(sx, pairs, negHashers(pairs))
+	return sx
+}
 
 // Shards returns the number of shards.
 func (sx *ShardedIndex[P]) Shards() int { return len(sx.shards) }
@@ -376,9 +377,6 @@ func (sx *ShardedIndex[P]) Close() {
 // are translated to global ids in place as each shard's layers are
 // probed.
 
-func (sx *ShardedIndex[P]) srcPairs() []core.Pair[P]  { return sx.pairs }
-func (sx *ShardedIndex[P]) srcNegG() []negQueryHasher { return sx.negG }
-
 func (sx *ShardedIndex[P]) beginRead() int {
 	maxLen := 0
 	for _, dx := range sx.shards {
@@ -420,65 +418,6 @@ func (sx *ShardedIndex[P]) appendCandidates(rep int, key uint64, dst []int32) ([
 	return dst, probes
 }
 
-func (sx *ShardedIndex[P]) acquireSQ() *sourceQuerier[P] {
-	return sx.queriers.Get().(*sourceQuerier[P])
-}
-func (sx *ShardedIndex[P]) releaseSQ(sq *sourceQuerier[P]) { sx.queriers.Put(sq) }
-
-// CollectDistinct gathers up to max distinct live candidate ids for q
-// (max <= 0 means no limit) across every shard, deduplicated across
-// repetitions and shards. For a full scan (max <= 0) the id set — and in
-// every case the Candidates/Distinct counters — equal a single
-// DynamicIndex over the same live points and rng stream; the order is
-// shard-major within each repetition, so when max truncates the
-// collection the *first max* distinct ids kept may differ from a
-// single-index build even though their count does not. The returned
-// slice is freshly allocated and owned by the caller; use a
-// ShardedQuerier for the zero-allocation variant.
-func (sx *ShardedIndex[P]) CollectDistinct(q P, max int) []int {
-	return collectDistinctOwned[P](sx, q, max)
-}
-
-// Candidates streams the live global ids colliding with q, repetition by
-// repetition, shard by shard within each repetition (duplicates across
-// repetitions included), invoking visit for each; if visit returns false
-// the scan stops early. visit runs inside the query's read window with
-// every shard's lock held shared: it must not call back into this index's
-// mutating or locking methods, or the scan deadlocks.
-func (sx *ShardedIndex[P]) Candidates(q P, visit func(id int) bool) {
-	streamCandidates[P](sx, q, visit)
-}
-
-// QueryBatch collects distinct live candidates for every query
-// concurrently, fanning the batch across opts.Workers workers with one
-// pooled querier per worker. Each query probes every shard under one
-// consistent read window, and its QueryStats merge the work of all
-// shards — Probes counts bucket lookups across every shard's every layer.
-// Mutations and compactions on any shard may proceed concurrently.
-func (sx *ShardedIndex[P]) QueryBatch(queries []P, opts BatchOptions) ([][]int, []QueryStats, BatchStats) {
-	return collectBatch[P](sx, queries, opts)
-}
-
-// ShardedQuerier is the reusable query scratch of a ShardedIndex,
-// mirroring DynamicQuerier: not safe for concurrent use, one per
-// goroutine (QueryBatch hands each worker its own), no steady-state heap
-// allocations once warmed.
-type ShardedQuerier[P any] struct {
-	sourceQuerier[P]
-}
-
-// NewQuerier returns a fresh ShardedQuerier bound to sx.
-func (sx *ShardedIndex[P]) NewQuerier() *ShardedQuerier[P] {
-	return &ShardedQuerier[P]{sourceQuerier: *newSourceQuerier[P](sx, 0)}
-}
-
-// CollectDistinct is ShardedIndex.CollectDistinct through this querier's
-// scratch; the returned slice is owned by the querier and valid only
-// until its next use.
-func (qr *ShardedQuerier[P]) CollectDistinct(q P, max int) ([]int, QueryStats) {
-	return qr.collectDistinct(q, max)
-}
-
 // Snapshot returns an immutable view of every shard — per-shard snapshots
 // unified under the global-id arithmetic — representing the whole index
 // at one single instant: there is a moment T such that every shard's
@@ -506,6 +445,7 @@ func (sx *ShardedIndex[P]) Snapshot() *ShardedSnapshot[P] {
 	K := len(sx.shards)
 	marks := make([]uint64, K)
 	ss := &ShardedSnapshot[P]{snaps: make([]*Snapshot[P], K)}
+	ss.bind(ss, sx.pairs, sx.negG)
 	for attempt := 0; attempt < 3; attempt++ {
 		for s, dx := range sx.shards {
 			marks[s] = dx.Epoch()
@@ -522,7 +462,6 @@ func (sx *ShardedIndex[P]) Snapshot() *ShardedSnapshot[P] {
 		}
 		if ok {
 			mSnapOptimistic.Inc(sx.stripe)
-			ss.queriers.New = func() any { return newSourceQuerier[P](ss, ss.beginRead()) }
 			return ss
 		}
 		mSnapRetries.Inc(sx.stripe)
@@ -540,7 +479,6 @@ func (sx *ShardedIndex[P]) Snapshot() *ShardedSnapshot[P] {
 		ss.snaps[s] = dx.Snapshot()
 	}
 	sx.barrier.Unlock()
-	ss.queriers.New = func() any { return newSourceQuerier[P](ss, ss.beginRead()) }
 	return ss
 }
 
@@ -551,9 +489,9 @@ func (sx *ShardedIndex[P]) Snapshot() *ShardedSnapshot[P] {
 // batch engine run over it lock-free while the live shards keep mutating.
 // Safe for unrestricted concurrent use until Release.
 type ShardedSnapshot[P any] struct {
+	readPath[P]
 	snaps    []*Snapshot[P]
 	released atomic.Bool
-	queriers sync.Pool
 }
 
 // Shards returns the number of shards.
@@ -570,9 +508,6 @@ func (ss *ShardedSnapshot[P]) Len() int {
 	}
 	return n
 }
-
-// L returns the number of repetitions.
-func (ss *ShardedSnapshot[P]) L() int { return len(ss.snaps[0].pairs) }
 
 // Release releases every per-shard snapshot so segments rewritten by
 // later compactions can be garbage-collected; queries afterwards panic.
@@ -651,9 +586,6 @@ func (ss *ShardedSnapshot[P]) check() {
 // candidateSource implementation: like ShardedIndex but over the pinned
 // per-shard snapshots, with a free read window.
 
-func (ss *ShardedSnapshot[P]) srcPairs() []core.Pair[P]  { return ss.snaps[0].pairs }
-func (ss *ShardedSnapshot[P]) srcNegG() []negQueryHasher { return ss.snaps[0].negG }
-
 func (ss *ShardedSnapshot[P]) beginRead() int {
 	ss.check()
 	maxBound := 0
@@ -685,30 +617,4 @@ func (ss *ShardedSnapshot[P]) appendCandidates(rep int, key uint64, dst []int32)
 		}
 	}
 	return dst, probes
-}
-
-func (ss *ShardedSnapshot[P]) acquireSQ() *sourceQuerier[P] {
-	return ss.queriers.Get().(*sourceQuerier[P])
-}
-func (ss *ShardedSnapshot[P]) releaseSQ(sq *sourceQuerier[P]) { ss.queriers.Put(sq) }
-
-// CollectDistinct gathers up to max distinct live candidate ids for q
-// (max <= 0 means no limit) from the pinned state; see
-// ShardedIndex.CollectDistinct for the order and counter contract.
-func (ss *ShardedSnapshot[P]) CollectDistinct(q P, max int) []int {
-	return collectDistinctOwned[P](ss, q, max)
-}
-
-// QueryBatch collects distinct candidates for every query concurrently
-// from the pinned state; see Index.QueryBatch for the determinism
-// contract.
-func (ss *ShardedSnapshot[P]) QueryBatch(queries []P, opts BatchOptions) ([][]int, []QueryStats, BatchStats) {
-	ss.check()
-	return collectBatch[P](ss, queries, opts)
-}
-
-// NewQuerier returns a fresh SnapshotQuerier bound to ss for
-// zero-allocation steady-state queries over the pinned state.
-func (ss *ShardedSnapshot[P]) NewQuerier() *SnapshotQuerier[P] {
-	return &SnapshotQuerier[P]{sourceQuerier: *newSourceQuerier[P](ss, ss.beginRead())}
 }

@@ -106,11 +106,11 @@ func TestShardedMatchesSingleShardRebuild(t *testing.T) {
 			for qi, q := range queries {
 				for _, max := range []int{0, 5} {
 					sq := sx.acquireSQ()
-					got, gotStats := sq.collectDistinct(q, max)
+					got, gotStats := sq.CollectDistinct(q, max)
 					gotPos := mapSorted(label, qi, got)
 					sx.releaseSQ(sq)
 					uq := single.acquireSQ()
-					want, wantStats := uq.collectDistinct(q, max)
+					want, wantStats := uq.CollectDistinct(q, max)
 					wantPos := append([]int(nil), want...)
 					single.releaseSQ(uq)
 					sort.Ints(wantPos)
@@ -376,7 +376,7 @@ func TestShardedConcurrentWriters(t *testing.T) {
 
 // TestShardedSteadyStateZeroAlloc extends the zero-allocation criterion
 // to the sharded backend: after Compact, CollectDistinct through a warmed
-// ShardedQuerier performs no heap allocations even though it probes every
+// Querier performs no heap allocations even though it probes every
 // shard.
 func TestShardedSteadyStateZeroAlloc(t *testing.T) {
 	rng := xrand.New(11)
@@ -443,5 +443,8 @@ func TestShardedGuardMessages(t *testing.T) {
 	mustPanicMessage(t, "index: use of released Snapshot", func() { snap.Deleted(0) })
 	mustPanicMessage(t, "index: use of released Snapshot", func() { shardSnap.CollectDistinct(pts[0], 0) })
 	mustPanicMessage(t, "index: use of released Snapshot", func() { shardSnap.Deleted(0) })
+	mustPanicMessage(t, "index: use of released Snapshot", func() { snap.QueryBatch(pts, BatchOptions{Workers: 4}) })
+	mustPanicMessage(t, "index: use of released Snapshot", func() { snap.QueryBatchSigned(pts, BatchOptions{Workers: 4}) })
+	mustPanicMessage(t, "index: use of released Snapshot", func() { shardSnap.QueryBatch(pts, BatchOptions{Workers: 4}) })
 	mustPanicMessage(t, "index: negative point id", func() { sx.Point(-1) })
 }

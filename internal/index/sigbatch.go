@@ -1,11 +1,5 @@
 package index
 
-import (
-	"time"
-
-	"dsh/internal/xrand"
-)
-
 // This file is the index-side hook for the network serving edge
 // (internal/serve): a batch entry point that, alongside the usual
 // distinct-candidate results, returns every query's *hash-key signature*
@@ -31,41 +25,6 @@ func (bk *blockKeys) sig(i int) uint64 {
 	return s
 }
 
-// collectBatchSigned is collectBatch with the key block forced on (no
-// minimum batch size) and every query's signature folded out of it before
-// the workers consume the keys. Results and stats are bit-identical to
-// QueryBatch over the same source: queriers consume the same pre-hashed
-// keys the signature was folded from.
-func collectBatchSigned[P any](src candidateSource[P], queries []P, opts BatchOptions) ([][]int, []uint64, []QueryStats, BatchStats) {
-	out := make([][]int, len(queries))
-	per := make([]QueryStats, len(queries))
-	sigs := make([]uint64, len(queries))
-	if len(queries) == 0 {
-		return out, sigs, per, BatchStats{}
-	}
-	preStart := time.Now()
-	bk := blockHashAll(src, queries, opts.workerCount(len(queries)))
-	preWall := time.Since(preStart)
-	for i := range queries {
-		sigs[i] = bk.sig(i)
-	}
-	wall := runBatchScratch(len(queries), opts, src.acquireSQ, src.releaseSQ,
-		func(i int, _ *xrand.Rand, sq *sourceQuerier[P]) {
-			start := time.Now()
-			installPreKeys(sq, bk, i)
-			res, st := sq.collectDistinct(queries[i], opts.MaxCandidates)
-			sq.preKeys = nil
-			if len(res) > 0 {
-				out[i] = make([]int, len(res))
-				copy(out[i], res)
-			}
-			per[i] = st
-			per[i].Latency = time.Since(start)
-		})
-	bk.release()
-	return out, sigs, per, AggregateStats(per, wall+preWall)
-}
-
 // QueryBatchSigned is QueryBatch plus, for every query, the 64-bit fold
 // of its L per-repetition hash keys g_i(q). Candidate lists and stats are
 // bit-identical to QueryBatch over the same snapshot (the queriers consume
@@ -74,14 +33,6 @@ func collectBatchSigned[P any](src candidateSource[P], queries []P, opts BatchOp
 // edge's cache-key invariant. Unlike QueryBatch, the repetition-blocked
 // pre-hash always runs (even for batches of one query), since the
 // signature needs every key; opts.NoBlockHash is ignored.
-func (s *Snapshot[P]) QueryBatchSigned(queries []P, opts BatchOptions) ([][]int, []uint64, []QueryStats, BatchStats) {
-	s.check()
-	return collectBatchSigned[P](s, queries, opts)
-}
-
-// QueryBatchSigned is QueryBatch plus per-query hash-key signatures; see
-// Snapshot.QueryBatchSigned for the signature and cache-key contract.
 func (ss *ShardedSnapshot[P]) QueryBatchSigned(queries []P, opts BatchOptions) ([][]int, []uint64, []QueryStats, BatchStats) {
-	ss.check()
-	return collectBatchSigned[P](ss, queries, opts)
+	return ss.collectBatch(queries, opts, true)
 }

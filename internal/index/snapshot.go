@@ -1,11 +1,9 @@
 package index
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"dsh/internal/bitvec"
-	"dsh/internal/core"
 )
 
 // Snapshot is an immutable, point-in-time view of a DynamicIndex: the
@@ -38,8 +36,7 @@ import (
 // queries panic. A Snapshot never blocks and is never blocked by the
 // live index's locks.
 type Snapshot[P any] struct {
-	pairs []core.Pair[P]
-	negG  []negQueryHasher
+	readPath[P]
 	// points is a pinned header of the index's append-only points array;
 	// elements below idBound are immutable.
 	points  []P
@@ -57,7 +54,6 @@ type Snapshot[P any] struct {
 	epoch uint64
 
 	released atomic.Bool
-	queriers sync.Pool
 }
 
 // Snapshot returns an immutable view of the index's current live points.
@@ -79,8 +75,6 @@ func (dx *DynamicIndex[P]) Snapshot() *Snapshot[P] {
 		dx.detachMemLocked()
 	}
 	snap := &Snapshot[P]{
-		pairs:    dx.pairs,
-		negG:     dx.negG,
 		points:   dx.points[:len(dx.points):len(dx.points)],
 		idBound:  len(dx.points),
 		segments: dx.segments[:len(dx.segments):len(dx.segments)],
@@ -90,7 +84,7 @@ func (dx *DynamicIndex[P]) Snapshot() *Snapshot[P] {
 		epoch:    dx.epoch,
 	}
 	dx.mu.Unlock()
-	snap.queriers.New = func() any { return newSourceQuerier[P](snap, snap.idBound) }
+	snap.bind(snap, dx.pairs, dx.negG)
 	mSnapshots.Inc(dx.stripe)
 	mSnapshotsOpen.Add(1)
 	mSnapshotEpoch.Set(int64(snap.epoch))
@@ -99,9 +93,6 @@ func (dx *DynamicIndex[P]) Snapshot() *Snapshot[P] {
 
 // Len returns the number of live points visible to the snapshot.
 func (s *Snapshot[P]) Len() int { return s.live }
-
-// L returns the number of repetitions.
-func (s *Snapshot[P]) L() int { return len(s.pairs) }
 
 // Epoch returns the mutation epoch the snapshot was taken at; it equals
 // DynamicIndex.Epoch while no Insert or Delete has landed since.
@@ -152,9 +143,6 @@ func (s *Snapshot[P]) check() {
 // read window is free (beginRead takes no lock) and any number of
 // goroutines may query concurrently.
 
-func (s *Snapshot[P]) srcPairs() []core.Pair[P]  { return s.pairs }
-func (s *Snapshot[P]) srcNegG() []negQueryHasher { return s.negG }
-
 func (s *Snapshot[P]) beginRead() int {
 	s.check()
 	return s.idBound
@@ -185,11 +173,6 @@ func (s *Snapshot[P]) appendCandidates(rep int, key uint64, dst []int32) ([]int3
 	return dst, probes
 }
 
-func (s *Snapshot[P]) acquireSQ() *sourceQuerier[P] {
-	return s.queriers.Get().(*sourceQuerier[P])
-}
-func (s *Snapshot[P]) releaseSQ(sq *sourceQuerier[P]) { s.queriers.Put(sq) }
-
 // AppendLiveIDs appends every live global id visible to the snapshot to
 // dst in ascending order and returns the extended slice — the scan
 // primitive: iterate the pinned id space once, with no locking, while the
@@ -202,50 +185,4 @@ func (s *Snapshot[P]) AppendLiveIDs(dst []int) []int {
 		}
 	}
 	return dst
-}
-
-// CollectDistinct gathers up to max distinct live candidate ids for q
-// (max <= 0 means no limit) from the pinned state, exactly like
-// DynamicIndex.CollectDistinct would have at snapshot time. The returned
-// slice is freshly allocated and owned by the caller; use a
-// SnapshotQuerier for the zero-allocation variant.
-func (s *Snapshot[P]) CollectDistinct(q P, max int) []int {
-	return collectDistinctOwned[P](s, q, max)
-}
-
-// Candidates streams the pinned live ids colliding with q, repetition by
-// repetition (duplicates across repetitions included), invoking visit for
-// each; if visit returns false the scan stops early. Unlike the dynamic
-// backend there is no read window to deadlock: visit may call any
-// snapshot or live-index method.
-func (s *Snapshot[P]) Candidates(q P, visit func(id int) bool) {
-	streamCandidates[P](s, q, visit)
-}
-
-// QueryBatch collects distinct candidates for every query concurrently
-// from the pinned state, with one pooled querier per worker; see
-// Index.QueryBatch for the determinism contract.
-func (s *Snapshot[P]) QueryBatch(queries []P, opts BatchOptions) ([][]int, []QueryStats, BatchStats) {
-	s.check()
-	return collectBatch[P](s, queries, opts)
-}
-
-// SnapshotQuerier is the reusable query scratch of a Snapshot, mirroring
-// Querier and DynamicQuerier: not safe for concurrent use, one per
-// goroutine, and steady-state queries through a warmed one perform no
-// heap allocations.
-type SnapshotQuerier[P any] struct {
-	sourceQuerier[P]
-}
-
-// NewQuerier returns a fresh SnapshotQuerier bound to s.
-func (s *Snapshot[P]) NewQuerier() *SnapshotQuerier[P] {
-	return &SnapshotQuerier[P]{sourceQuerier: *newSourceQuerier[P](s, s.idBound)}
-}
-
-// CollectDistinct is Snapshot.CollectDistinct through this querier's
-// scratch; the returned slice is owned by the querier and valid only
-// until its next use.
-func (qr *SnapshotQuerier[P]) CollectDistinct(q P, max int) ([]int, QueryStats) {
-	return qr.collectDistinct(q, max)
 }

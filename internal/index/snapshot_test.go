@@ -206,7 +206,7 @@ func TestSnapshotMatchesStaticRebuild(t *testing.T) {
 }
 
 // TestSnapshotSteadyStateZeroAlloc extends the zero-allocation acceptance
-// criterion to snapshots: queries through a warmed SnapshotQuerier over a
+// criterion to snapshots: queries through a warmed Querier over a
 // compacted index's snapshot perform no heap allocations.
 func TestSnapshotSteadyStateZeroAlloc(t *testing.T) {
 	rng := xrand.New(61)

@@ -1,22 +1,22 @@
 package index
 
 import (
+	"sync"
 	"time"
 
 	"dsh/internal/core"
 	"dsh/internal/obs"
 )
 
-// candidateSource is the storage abstraction behind every query veneer in
-// this package. It is the paper's serving contract reduced to two
-// operations — hash the query once per repetition, then iterate the
-// colliding ids of that repetition under stable point ids — so that the
-// Section 6 structures (distinct-candidate collection, annulus search,
-// range reporting, concurrent batching) are written once and instantiated
-// over any backend. (Ids are stable within any read window and, for every
-// policy but CompactLeveled, across the backend's lifetime; a leveled GC
-// merge renumbers ids between windows and advances the epoch.) The
-// backends:
+// candidateSource is the storage half of the read path: the paper's
+// serving contract reduced to its storage operations — iterate the ids
+// colliding with one repetition's key under stable point ids, and read a
+// point back — so that the Section 6 structures (distinct-candidate
+// collection, annulus search, range reporting, concurrent batching) are
+// written once, in readPath and Querier, and instantiated over any
+// backend. (Ids are stable within any read window and, for every policy
+// but CompactLeveled, across the backend's lifetime; a leveled GC merge
+// renumbers ids between windows and advances the epoch.) The backends:
 //
 //   - *Index: the frozen flat-table layout (one immutable table per
 //     repetition, ids 0..Len-1).
@@ -28,8 +28,7 @@ import (
 //   - *Snapshot / *ShardedSnapshot: pinned, immutable views of the
 //     dynamic backends with a free read window.
 //
-// Thread-safety contract: srcPairs and srcNegG return immutable state and
-// may be called at any time. appendCandidates and srcPoint may only be
+// Thread-safety contract: appendCandidates and srcPoint may only be
 // called between beginRead and endRead, which bracket exactly one query
 // and pin a consistent snapshot of the backend (the static Index is
 // immutable, so its beginRead is free; the DynamicIndex holds its
@@ -37,16 +36,11 @@ import (
 // number of concurrent beginRead..endRead windows; mutators may block for
 // their duration but must never corrupt an open window.
 type candidateSource[P any] interface {
-	// srcPairs returns the L repetition draws (h_i, g_i), sampled once at
-	// construction and immutable afterwards.
-	srcPairs() []core.Pair[P]
-	// srcNegG returns the per-repetition pre-negated query hashers (nil
-	// entries where the fast path is unavailable), aligned with srcPairs.
-	srcNegG() []negQueryHasher
 	// beginRead opens a read-consistent snapshot for one query and returns
 	// the exclusive upper bound of the id space (ids seen during the query
 	// are < the returned value). Every beginRead must be paired with
-	// endRead.
+	// endRead. A backend that can no longer be read (a released snapshot)
+	// panics here.
 	beginRead() int
 	// endRead releases the snapshot taken by beginRead.
 	endRead()
@@ -66,51 +60,118 @@ type candidateSource[P any] interface {
 	// srcPoint returns the point stored under id, valid only inside a
 	// beginRead..endRead window.
 	srcPoint(id int) P
-	// acquireSQ draws a reusable query scratch bound to this source from
-	// the backend's pool; releaseSQ returns it. Used by the single-query
-	// and batch entry points so steady-state serving does not allocate.
-	acquireSQ() *sourceQuerier[P]
-	releaseSQ(sq *sourceQuerier[P])
 }
 
-// collectDistinctOwned runs one distinct-candidate collection through a
-// pooled querier and copies the result out so the caller owns it. The
-// public CollectDistinct methods of every backend delegate here; the
-// querier-based variants skip the copy.
-func collectDistinctOwned[P any](src candidateSource[P], q P, max int) []int {
-	sq := src.acquireSQ()
-	res, _ := sq.collectDistinct(q, max)
-	var out []int
-	if len(res) > 0 {
-		out = make([]int, len(res))
-		copy(out, res)
-	}
-	src.releaseSQ(sq)
+// Source is the exported handle to a serving backend — *Index,
+// *DynamicIndex, *ShardedIndex, *Snapshot or *ShardedSnapshot — and the
+// query surface they share. Callers cannot implement Source themselves
+// (it has an unexported method); they obtain one from this package and
+// query it directly, draw Queriers from it, or hand it to NewAnnulusOver
+// or NewRangeReporterOver to bind a predicate veneer to any backend,
+// including point-in-time snapshots.
+type Source[P any] interface {
+	L() int
+	CollectDistinct(q P, max int) []int
+	Candidates(q P, visit func(id int) bool)
+	QueryBatch(queries []P, opts BatchOptions) ([][]int, []QueryStats, BatchStats)
+	NewQuerier() *Querier[P]
+	reads() *readPath[P]
+}
+
+// readPath is the query half of every backend, written once and embedded
+// in all five: the L repetition draws (h_i, g_i), sampled once at
+// construction and immutable afterwards; the per-repetition pre-negated
+// query hashers (nil entries where the fast path is unavailable), aligned
+// with pairs; and the pool of Queriers behind the single-query and batch
+// entry points, so steady-state serving does not allocate. Its methods
+// reach the backend's storage only through src.
+type readPath[P any] struct {
+	src      candidateSource[P]
+	pairs    []core.Pair[P]
+	negG     []negQueryHasher
+	queriers sync.Pool
+}
+
+// bind ties the read path to its backend's storage primitives and
+// repetition draws and wires the querier pool. Every constructor calls it
+// once, before the backend is published.
+func (rp *readPath[P]) bind(src candidateSource[P], pairs []core.Pair[P], negG []negQueryHasher) {
+	rp.src, rp.pairs, rp.negG = src, pairs, negG
+	rp.queriers.New = func() any { return rp.NewQuerier() }
+}
+
+func (rp *readPath[P]) reads() *readPath[P] { return rp }
+
+func (rp *readPath[P]) acquireSQ() *Querier[P]   { return rp.queriers.Get().(*Querier[P]) }
+func (rp *readPath[P]) releaseSQ(qr *Querier[P]) { rp.queriers.Put(qr) }
+
+// L returns the number of repetitions. The repetition draws are immutable,
+// so L is safe for concurrent use with every other method.
+func (rp *readPath[P]) L() int { return len(rp.pairs) }
+
+// NewQuerier returns a fresh Querier bound to this backend, for callers
+// that drive many sequential queries and manage their own per-goroutine
+// scratch.
+func (rp *readPath[P]) NewQuerier() *Querier[P] {
+	return &Querier[P]{rp: rp, stripe: obs.NextStripe()}
+}
+
+// CollectDistinct gathers up to max distinct live candidate ids for q
+// (max <= 0 means no limit), deduplicated across repetitions and layers in
+// first-occurrence order. Over a dynamic backend or its snapshots that
+// order equals a static Index's over the same live points; over the
+// sharded backends it is shard-major within each repetition, so when max
+// truncates the collection the first max ids kept may differ from a
+// single-index build even though their count does not. The returned slice
+// is freshly allocated and owned by the caller; a Querier's
+// CollectDistinct is the zero-allocation variant. Safe for concurrent use:
+// the query runs inside one read window, so it sees one consistent layer
+// list and tombstone state even during freezes and compactions.
+func (rp *readPath[P]) CollectDistinct(q P, max int) []int {
+	qr := rp.acquireSQ()
+	res, _ := qr.CollectDistinct(q, max)
+	out := ownedIDs(res)
+	rp.releaseSQ(qr)
 	return out
 }
 
-// streamCandidates streams one candidate scan through a pooled querier;
-// the public Candidates methods of every backend delegate here.
-func streamCandidates[P any](src candidateSource[P], q P, visit func(id int) bool) {
-	sq := src.acquireSQ()
-	sq.candidates(q, visit)
-	src.releaseSQ(sq)
+// Candidates streams the live ids colliding with q, repetition by
+// repetition (duplicates across repetitions included), invoking visit for
+// each; if visit returns false the scan stops early. visit runs inside the
+// query's read window: over a live dynamic or sharded backend it must not
+// call back into that index's mutating or locking methods, or the scan
+// deadlocks (a snapshot's read window takes no lock).
+func (rp *readPath[P]) Candidates(q P, visit func(id int) bool) {
+	qr := rp.acquireSQ()
+	qr.Candidates(q, visit)
+	rp.releaseSQ(qr)
 }
 
-// sourceQuerier is the reusable query scratch shared by every veneer: an
-// epoch-stamped visited array over the id space (deduplication without
-// clearing), a candidate buffer refilled per repetition probe, a negated
-// query buffer for NegateQuery-backed families, and a reusable output
-// buffer. The public Querier and DynamicQuerier types wrap it.
+// ownedIDs copies a querier-owned result out so the caller owns it; an
+// empty result stays nil.
+func ownedIDs(res []int) []int {
+	if len(res) == 0 {
+		return nil
+	}
+	out := make([]int, len(res))
+	copy(out, res)
+	return out
+}
+
+// Querier is the reusable query scratch of one backend: an epoch-stamped
+// visited array over the id space (deduplication without clearing), a
+// candidate buffer refilled per repetition probe, a negated query buffer
+// for NegateQuery-backed families, and a reusable output buffer. Obtain
+// one with NewQuerier on any backend (or on a veneer's Source). The
+// backends pool Queriers behind their single-query and batch entry
+// points; the batch engine hands each worker its own.
 //
-// A sourceQuerier is not safe for concurrent use; use one per goroutine.
-// Steady-state queries through a warmed sourceQuerier perform no heap
-// allocations (the dynamic backend may grow the visited array when the id
+// A Querier is not safe for concurrent use; use one per goroutine.
+// Steady-state queries through a warmed Querier perform no heap
+// allocations (a dynamic backend may grow the visited array when the id
 // space grew since the querier's last use).
-type sourceQuerier[P any] struct {
-	src   candidateSource[P]
-	pairs []core.Pair[P]
-	negG  []negQueryHasher
+type Querier[P any] struct {
+	rp *readPath[P]
 
 	visited []uint32
 	epoch   uint32
@@ -133,34 +194,22 @@ type sourceQuerier[P any] struct {
 	stripe uint32
 }
 
-// newSourceQuerier returns a fresh scratch bound to src with a visited
-// array pre-sized for n ids (it grows on demand if the id space grows).
-func newSourceQuerier[P any](src candidateSource[P], n int) *sourceQuerier[P] {
-	return &sourceQuerier[P]{
-		src:     src,
-		pairs:   src.srcPairs(),
-		negG:    src.srcNegG(),
-		visited: make([]uint32, n),
-		stripe:  obs.NextStripe(),
-	}
-}
-
 // begin opens a new query over an id space of size n: grow the visited
 // array if needed and advance the epoch (clearing the array only on uint32
 // wraparound).
-func (sq *sourceQuerier[P]) begin(n int) {
-	sq.negOK = false
-	if len(sq.visited) < n {
+func (qr *Querier[P]) begin(n int) {
+	qr.negOK = false
+	if len(qr.visited) < n {
 		grown := make([]uint32, n)
-		copy(grown, sq.visited)
-		sq.visited = grown
+		copy(grown, qr.visited)
+		qr.visited = grown
 	}
-	sq.epoch++
-	if sq.epoch == 0 {
-		for i := range sq.visited {
-			sq.visited[i] = 0
+	qr.epoch++
+	if qr.epoch == 0 {
+		for i := range qr.visited {
+			qr.visited[i] = 0
 		}
-		sq.epoch = 1
+		qr.epoch = 1
 	}
 }
 
@@ -182,49 +231,50 @@ func negateQuery[P any](buf []float64, q P) ([]float64, bool) {
 	return buf, true
 }
 
-// prepNeg fills sq.neg with -q if q is a []float64 and reports success.
+// prepNeg fills qr.neg with -q if q is a []float64 and reports success.
 // The negation is computed at most once per query.
-func (sq *sourceQuerier[P]) prepNeg(q P) bool {
-	if sq.negOK {
+func (qr *Querier[P]) prepNeg(q P) bool {
+	if qr.negOK {
 		return true
 	}
-	sq.neg, sq.negOK = negateQuery(sq.neg, q)
-	return sq.negOK
+	qr.neg, qr.negOK = negateQuery(qr.neg, q)
+	return qr.negOK
 }
 
 // gKey returns g_i(q), negating q once per query (into the reused scratch
 // buffer) when repetition i's query hasher supports the pre-negated path.
 // When the batch engine installed a pre-hashed key block the key is read
 // from it instead of re-evaluated.
-func (sq *sourceQuerier[P]) gKey(i int, q P) uint64 {
-	if sq.preKeys != nil {
-		return sq.preKeys[i*sq.preStride+sq.preOff]
+func (qr *Querier[P]) gKey(i int, q P) uint64 {
+	if qr.preKeys != nil {
+		return qr.preKeys[i*qr.preStride+qr.preOff]
 	}
-	if nh := sq.negG[i]; nh != nil {
-		if sq.prepNeg(q) {
-			return nh.HashNeg(sq.neg)
+	if nh := qr.rp.negG[i]; nh != nil {
+		if qr.prepNeg(q) {
+			return nh.HashNeg(qr.neg)
 		}
 	}
-	return sq.pairs[i].G.Hash(q)
+	return qr.rp.pairs[i].G.Hash(q)
 }
 
-// candidates streams the live ids colliding with q, repetition by
+// Candidates streams the live ids colliding with q, repetition by
 // repetition (duplicates across repetitions included), invoking visit for
-// each. If visit returns false the scan stops early.
-func (sq *sourceQuerier[P]) candidates(q P, visit func(id int) bool) {
+// each. If visit returns false the scan stops early. See the backend's
+// Candidates for the read-window contract visit runs under.
+func (qr *Querier[P]) Candidates(q P, visit func(id int) bool) {
 	start := time.Now()
-	src := sq.src
+	src := qr.rp.src
 	src.beginRead()
 	defer src.endRead()
-	sq.negOK = false
+	qr.negOK = false
 	var stats QueryStats
 	hashEvals := 0
 scan:
-	for i := range sq.pairs {
-		key := sq.gKey(i, q)
+	for i := range qr.rp.pairs {
+		key := qr.gKey(i, q)
 		hashEvals++
-		buf, probes := src.appendCandidates(i, key, sq.buf[:0])
-		sq.buf = buf
+		buf, probes := src.appendCandidates(i, key, qr.buf[:0])
+		qr.buf = buf
 		stats.Probes += probes
 		stats.Candidates += len(buf)
 		for _, id := range buf {
@@ -233,12 +283,12 @@ scan:
 			}
 		}
 	}
-	sq.recordQuery(start, hashEvals, stats)
+	qr.recordQuery(start, hashEvals, stats)
 }
 
-// collectDistinct gathers up to max distinct live candidate ids for q
-// (max <= 0 means no limit), deduplicating across repetitions while
-// preserving first-occurrence order. The returned slice is owned by the
+// CollectDistinct gathers up to max distinct live candidate ids for q
+// (max <= 0 means no limit), returning the same ids in the same order as
+// the backend's CollectDistinct. The returned slice is owned by the
 // querier and valid only until its next use.
 //
 // Stats contract: every repetition probe that runs is counted in full —
@@ -247,23 +297,23 @@ scan:
 // collection partway through the probe's buffer, so per-query stats always
 // aggregate the work of whole repetitions across every segment and the
 // memtable.
-func (sq *sourceQuerier[P]) collectDistinct(q P, max int) ([]int, QueryStats) {
+func (qr *Querier[P]) CollectDistinct(q P, max int) ([]int, QueryStats) {
 	start := time.Now()
-	src := sq.src
+	src := qr.rp.src
 	n := src.beginRead()
 	defer src.endRead()
-	sq.begin(n)
+	qr.begin(n)
 	var stats QueryStats
 	hashEvals := 0
-	out := sq.out[:0]
-	visited := sq.visited
-	epoch := sq.epoch
+	out := qr.out[:0]
+	visited := qr.visited
+	epoch := qr.epoch
 scan:
-	for i := range sq.pairs {
-		key := sq.gKey(i, q)
+	for i := range qr.rp.pairs {
+		key := qr.gKey(i, q)
 		hashEvals++
-		buf, probes := src.appendCandidates(i, key, sq.buf[:0])
-		sq.buf = buf
+		buf, probes := src.appendCandidates(i, key, qr.buf[:0])
+		qr.buf = buf
 		stats.Probes += probes
 		stats.Candidates += len(buf)
 		for _, id32 := range buf {
@@ -278,8 +328,8 @@ scan:
 			}
 		}
 	}
-	sq.out = out
-	sq.recordQuery(start, hashEvals, stats)
+	qr.out = out
+	qr.recordQuery(start, hashEvals, stats)
 	return out, stats
 }
 
@@ -287,22 +337,22 @@ scan:
 // scan candidates in repetition order, verify each with within, return the
 // first hit, and give up after 8L candidates (the Markov-bound early
 // termination from the proof of Theorem 6.1).
-func (sq *sourceQuerier[P]) annulusQuery(q P, within func(q, x P) bool) (int, QueryStats) {
+func (qr *Querier[P]) annulusQuery(q P, within func(q, x P) bool) (int, QueryStats) {
 	start := time.Now()
-	src := sq.src
-	limit := 8 * len(sq.pairs)
+	src := qr.rp.src
+	limit := 8 * len(qr.rp.pairs)
 	src.beginRead()
 	defer src.endRead()
-	sq.negOK = false
+	qr.negOK = false
 	var stats QueryStats
 	res := -1
 	hashEvals := 0
 scan:
-	for i := range sq.pairs {
-		key := sq.gKey(i, q)
+	for i := range qr.rp.pairs {
+		key := qr.gKey(i, q)
 		hashEvals++
-		buf, probes := src.appendCandidates(i, key, sq.buf[:0])
-		sq.buf = buf
+		buf, probes := src.appendCandidates(i, key, qr.buf[:0])
+		qr.buf = buf
 		stats.Probes += probes
 		for _, id32 := range buf {
 			stats.Candidates++
@@ -317,28 +367,28 @@ scan:
 			}
 		}
 	}
-	sq.recordQuery(start, hashEvals, stats)
+	qr.recordQuery(start, hashEvals, stats)
 	return res, stats
 }
 
 // appendRange runs the Theorem 6.5 reporting algorithm against the source:
 // verify every distinct candidate once with inRange and append the ids
 // that qualify to dst, returning the extended slice.
-func (sq *sourceQuerier[P]) appendRange(dst []int, q P, inRange func(q, x P) bool) ([]int, QueryStats) {
+func (qr *Querier[P]) appendRange(dst []int, q P, inRange func(q, x P) bool) ([]int, QueryStats) {
 	start := time.Now()
-	src := sq.src
+	src := qr.rp.src
 	n := src.beginRead()
 	defer src.endRead()
-	sq.begin(n)
+	qr.begin(n)
 	var stats QueryStats
 	hashEvals := 0
-	visited := sq.visited
-	epoch := sq.epoch
-	for i := range sq.pairs {
-		key := sq.gKey(i, q)
+	visited := qr.visited
+	epoch := qr.epoch
+	for i := range qr.rp.pairs {
+		key := qr.gKey(i, q)
 		hashEvals++
-		buf, probes := src.appendCandidates(i, key, sq.buf[:0])
-		sq.buf = buf
+		buf, probes := src.appendCandidates(i, key, qr.buf[:0])
+		qr.buf = buf
 		stats.Probes += probes
 		stats.Candidates += len(buf)
 		for _, id32 := range buf {
@@ -353,6 +403,6 @@ func (sq *sourceQuerier[P]) appendRange(dst []int, q P, inRange func(q, x P) boo
 			}
 		}
 	}
-	sq.recordQuery(start, hashEvals, stats)
+	qr.recordQuery(start, hashEvals, stats)
 	return dst, stats
 }

@@ -239,14 +239,14 @@ func TestQueryPathZeroAlloc(t *testing.T) {
 
 	within := func(a, b bitvec.Vector) bool { return bitvec.Distance(a, b) <= d/8 }
 	ai := NewAnnulus(rng, fam, L, pts, within)
-	aqr := ai.Index().NewQuerier()
+	aqr := ai.Source().NewQuerier()
 	ai.QueryWith(aqr, q)
 	if allocs := testing.AllocsPerRun(100, func() { ai.QueryWith(aqr, q) }); allocs != 0 {
 		t.Errorf("AnnulusIndex.QueryWith allocates %.1f/op, want 0", allocs)
 	}
 
 	rr := NewRangeReporter(rng, fam, L, pts, within)
-	rqr := rr.Index().NewQuerier()
+	rqr := rr.Source().NewQuerier()
 	dst, _ := rr.AppendQueryWith(rqr, nil, q)
 	dst = dst[:0]
 	if allocs := testing.AllocsPerRun(100, func() { dst, _ = rr.AppendQueryWith(rqr, dst[:0], q) }); allocs != 0 {

@@ -1,9 +1,9 @@
 // Query veneers: the Section 6 search structures written once over the
-// candidateSource core and instantiated over either backend. A veneer
-// holds no storage of its own — it binds a predicate to a source, so the
-// same AnnulusIndex/RangeReporter type serves a frozen Index and a
-// churning DynamicIndex with identical semantics (and, for identical live
-// points and rng streams, identical results).
+// candidateSource core and instantiated over any backend. A veneer holds
+// no storage of its own — it binds a predicate to a Source, so the same
+// AnnulusIndex/RangeReporter type serves a frozen Index, a churning
+// DynamicIndex, a ShardedIndex or a snapshot with identical semantics
+// (and, for identical live points and rng streams, identical results).
 package index
 
 import (
@@ -11,23 +11,12 @@ import (
 	"dsh/internal/xrand"
 )
 
-// Source is the exported handle to a serving backend: anything
-// implementing the candidateSource core — *Index, *DynamicIndex,
-// *ShardedIndex, *Snapshot, *ShardedSnapshot — satisfies it. Callers
-// cannot implement Source themselves (its methods are unexported); they
-// obtain one from this package and hand it to NewAnnulusOver or
-// NewRangeReporterOver to bind a predicate veneer to any backend,
-// including point-in-time snapshots.
-type Source[P any] interface {
-	candidateSource[P]
-}
-
 // NewAnnulusOver wraps any serving backend — static, dynamic, sharded, or
 // a snapshot of either — in the Theorem 6.1 annulus-search algorithm. The
 // veneer shares the backend's storage (mutations on a live backend are
 // visible to subsequent queries immediately; a snapshot backend stays
-// pinned) and inherits its concurrency contract. NewAnnulusOver panics
-// when src is nil.
+// pinned), several veneers may wrap one backend, and each inherits its
+// concurrency contract. NewAnnulusOver panics when src is nil.
 func NewAnnulusOver[P any](src Source[P], within func(q, x P) bool) *AnnulusIndex[P] {
 	if src == nil {
 		panic("index: source must be non-nil")
@@ -59,7 +48,7 @@ func NewRangeReporterOver[P any](src Source[P], inRange func(q, x P) bool) *Rang
 // locking methods (Insert, Delete, Flush, Compact, Len, Point, ...), or
 // the query deadlocks; compare points using only the two arguments.
 type AnnulusIndex[P any] struct {
-	src candidateSource[P]
+	src Source[P]
 	// within reports whether a candidate point lies in the *report*
 	// interval [beta-, beta+] relative to the query.
 	within func(q, x P) bool
@@ -73,17 +62,6 @@ func NewAnnulus[P any](rng *xrand.Rand, family core.Family[P], L int, points []P
 	return &AnnulusIndex[P]{src: New(rng, family, L, points), within: within}
 }
 
-// NewDynamicAnnulus wraps an existing DynamicIndex in the Theorem 6.1
-// query algorithm. The veneer shares the backend's storage: Inserts,
-// Deletes and compactions through dx are visible to subsequent queries
-// immediately, and several veneers may wrap one backend.
-func NewDynamicAnnulus[P any](dx *DynamicIndex[P], within func(q, x P) bool) *AnnulusIndex[P] {
-	if dx == nil {
-		panic("index: dynamic index must be non-nil")
-	}
-	return &AnnulusIndex[P]{src: dx, within: within}
-}
-
 // Query returns the id of some point within the report interval of q, or
 // -1 if none was found among the first 8L candidates (the Markov-bound
 // early termination from the proof of Theorem 6.1). Safe for concurrent
@@ -91,40 +69,33 @@ func NewDynamicAnnulus[P any](dx *DynamicIndex[P], within func(q, x P) bool) *An
 // backend's pool and runs inside one consistent read window, so it may
 // overlap mutations, freezes and compactions on a dynamic backend).
 func (ai *AnnulusIndex[P]) Query(q P) (int, QueryStats) {
-	sq := ai.src.acquireSQ()
-	id, stats := sq.annulusQuery(q, ai.within)
-	ai.src.releaseSQ(sq)
+	rp := ai.src.reads()
+	qr := rp.acquireSQ()
+	id, stats := qr.annulusQuery(q, ai.within)
+	rp.releaseSQ(qr)
 	return id, stats
 }
 
-// QueryWith is Query with an explicit Querier, for callers over a static
-// backend that manage their own per-goroutine scratch. The steady state
-// allocates nothing. The Querier is not safe for concurrent use: callers
-// serialize access to it (one per goroutine).
+// QueryWith is Query with an explicit Querier drawn from the veneer's
+// Source, for callers that manage their own per-goroutine scratch. The
+// steady state allocates nothing. The Querier is not safe for concurrent
+// use: callers serialize access to it (one per goroutine). QueryWith
+// panics when qr belongs to another backend.
 func (ai *AnnulusIndex[P]) QueryWith(qr *Querier[P], q P) (int, QueryStats) {
-	if qr.src != ai.src {
-		panic("index: Querier bound to a different index")
-	}
+	mustBelong(qr, ai.src)
 	return qr.annulusQuery(q, ai.within)
 }
 
-// Index exposes the static backend (for inspection in experiments), or
-// nil when the veneer is backed by any other source.
-func (ai *AnnulusIndex[P]) Index() *Index[P] {
-	ix, _ := ai.src.(*Index[P])
-	return ix
-}
-
-// Dynamic exposes the dynamic backend, or nil when the veneer is backed
-// by any other source.
-func (ai *AnnulusIndex[P]) Dynamic() *DynamicIndex[P] {
-	dx, _ := ai.src.(*DynamicIndex[P])
-	return dx
-}
-
 // Source exposes the veneer's backend as a Source handle, whichever
-// concrete backend it is.
+// concrete backend it is; its NewQuerier feeds QueryWith.
 func (ai *AnnulusIndex[P]) Source() Source[P] { return ai.src }
+
+// mustBelong panics unless qr was drawn from src.
+func mustBelong[P any](qr *Querier[P], src Source[P]) {
+	if qr.rp != src.reads() {
+		panic("index: Querier bound to a different index")
+	}
+}
 
 // RangeReporter solves approximate spherical range reporting
 // (Theorem 6.5): report every point within the target range of the query,
@@ -135,7 +106,7 @@ func (ai *AnnulusIndex[P]) Source() Source[P] { return ai.src }
 // its inRange predicate runs inside the query's read window — over a
 // dynamic backend it must not call back into the index; see AnnulusIndex.
 type RangeReporter[P any] struct {
-	src candidateSource[P]
+	src Source[P]
 	// inRange reports whether x lies within the report radius r+ of q.
 	inRange func(q, x P) bool
 }
@@ -145,16 +116,6 @@ type RangeReporter[P any] struct {
 // value over the target range.
 func NewRangeReporter[P any](rng *xrand.Rand, family core.Family[P], L int, points []P, inRange func(q, x P) bool) *RangeReporter[P] {
 	return &RangeReporter[P]{src: New(rng, family, L, points), inRange: inRange}
-}
-
-// NewDynamicRangeReporter wraps an existing DynamicIndex in the
-// Theorem 6.5 reporting algorithm; mutations through dx are visible to
-// subsequent queries immediately.
-func NewDynamicRangeReporter[P any](dx *DynamicIndex[P], inRange func(q, x P) bool) *RangeReporter[P] {
-	if dx == nil {
-		panic("index: dynamic index must be non-nil")
-	}
-	return &RangeReporter[P]{src: dx, inRange: inRange}
 }
 
 // Query returns the distinct ids of reported points within range of q.
@@ -171,36 +132,22 @@ func (rr *RangeReporter[P]) Query(q P) ([]int, QueryStats) {
 // concurrent use whenever the backend is, provided each goroutine passes
 // its own dst; see AnnulusIndex.Query for the read-window contract.
 func (rr *RangeReporter[P]) AppendQuery(dst []int, q P) ([]int, QueryStats) {
-	sq := rr.src.acquireSQ()
-	dst, stats := sq.appendRange(dst, q, rr.inRange)
-	rr.src.releaseSQ(sq)
+	rp := rr.src.reads()
+	qr := rp.acquireSQ()
+	dst, stats := qr.appendRange(dst, q, rr.inRange)
+	rp.releaseSQ(qr)
 	return dst, stats
 }
 
-// AppendQueryWith is AppendQuery with an explicit Querier, for callers
-// over a static backend that manage their own per-goroutine scratch; the
-// Querier is not safe for concurrent use.
+// AppendQueryWith is AppendQuery with an explicit Querier drawn from the
+// veneer's Source, for callers that manage their own per-goroutine
+// scratch; the Querier is not safe for concurrent use. AppendQueryWith
+// panics when qr belongs to another backend.
 func (rr *RangeReporter[P]) AppendQueryWith(qr *Querier[P], dst []int, q P) ([]int, QueryStats) {
-	if qr.src != rr.src {
-		panic("index: Querier bound to a different index")
-	}
+	mustBelong(qr, rr.src)
 	return qr.appendRange(dst, q, rr.inRange)
 }
 
-// Index exposes the static backend, or nil when the veneer is backed by
-// any other source.
-func (rr *RangeReporter[P]) Index() *Index[P] {
-	ix, _ := rr.src.(*Index[P])
-	return ix
-}
-
-// Dynamic exposes the dynamic backend, or nil when the veneer is backed
-// by any other source.
-func (rr *RangeReporter[P]) Dynamic() *DynamicIndex[P] {
-	dx, _ := rr.src.(*DynamicIndex[P])
-	return dx
-}
-
 // Source exposes the veneer's backend as a Source handle, whichever
-// concrete backend it is.
+// concrete backend it is; its NewQuerier feeds AppendQueryWith.
 func (rr *RangeReporter[P]) Source() Source[P] { return rr.src }

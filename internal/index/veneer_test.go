@@ -34,8 +34,8 @@ func TestDynamicVeneersMatchStaticRebuild(t *testing.T) {
 			// calls, so the repetition draws coincide.
 			staticAI := NewAnnulus[[]float64](xrand.New(seed), fam, L, survivors, within)
 			staticRR := NewRangeReporter[[]float64](xrand.New(seed), fam, L, survivors, within)
-			dynAI := NewDynamicAnnulus(dx, within)
-			dynRR := NewDynamicRangeReporter(dx, within)
+			dynAI := NewAnnulusOver(dx, within)
+			dynRR := NewRangeReporterOver(dx, within)
 
 			toStatic := make(map[int]int, len(ids))
 			for pos, id := range ids {
@@ -116,28 +116,14 @@ func TestDynamicVeneersMatchStaticRebuild(t *testing.T) {
 	}
 }
 
-// TestDynamicVeneerBackendAccessors pins the backend-inspection contract:
-// a statically built veneer exposes its Index and no Dynamic, a
-// dynamically built one the reverse, and QueryWith rejects queriers bound
-// to another backend.
+// TestDynamicVeneerBackendAccessors pins the backend-binding contract:
+// QueryWith rejects queriers bound to another backend.
 func TestDynamicVeneerBackendAccessors(t *testing.T) {
 	rng := xrand.New(42)
 	pts := workload.SpherePoints(rng, 50, testDim)
 	within := withinSim(0.3, 0.7)
 
 	static := NewAnnulus[[]float64](xrand.New(1), dynamicFamily(), 8, pts, within)
-	if static.Index() == nil || static.Dynamic() != nil {
-		t.Fatal("static veneer backend accessors wrong")
-	}
-	dx := NewDynamic[[]float64](xrand.New(1), dynamicFamily(), 8, pts, DynamicOptions{})
-	dyn := NewDynamicAnnulus(dx, within)
-	if dyn.Index() != nil || dyn.Dynamic() != dx {
-		t.Fatal("dynamic veneer backend accessors wrong")
-	}
-	rr := NewDynamicRangeReporter(dx, within)
-	if rr.Index() != nil || rr.Dynamic() != dx {
-		t.Fatal("dynamic range veneer backend accessors wrong")
-	}
 
 	defer func() {
 		if recover() == nil {
@@ -145,7 +131,7 @@ func TestDynamicVeneerBackendAccessors(t *testing.T) {
 		}
 	}()
 	other := NewAnnulus[[]float64](xrand.New(2), dynamicFamily(), 8, pts, within)
-	static.QueryWith(other.Index().NewQuerier(), pts[0])
+	static.QueryWith(other.Source().NewQuerier(), pts[0])
 }
 
 // TestDynamicQueryBatchStatsMatchStaticRebuild pins the per-query
@@ -223,8 +209,8 @@ func TestDynamicVeneerSteadyStateZeroAlloc(t *testing.T) {
 	}
 	dx.Compact()
 	within := withinSim(-1, 2) // accepts everything: exercises the verify path
-	ai := NewDynamicAnnulus(dx, within)
-	rr := NewDynamicRangeReporter(dx, within)
+	ai := NewAnnulusOver(dx, within)
+	rr := NewRangeReporterOver(dx, within)
 	q := workload.SpherePoints(rng, 1, testDim)[0]
 
 	// Measure through a held querier rather than the pool: under -race,

@@ -40,8 +40,8 @@ func FuzzWireDecode(f *testing.F) {
 
 	// Decoding only touches opts and the routing flag, so a bare Server
 	// value suffices — no dispatcher, no index.
-	keyedSrv := &Server{opts: Options{Dim: fuzzDim, MaxBatch: 8}.withDefaults(), keyed: true}
-	rrSrv := &Server{opts: Options{Dim: fuzzDim, MaxBatch: 8}.withDefaults(), keyed: false}
+	keyedSrv := &Server{opts: Options{Dim: fuzzDim, ShedDepth: 8}.withDefaults(), keyed: true}
+	rrSrv := &Server{opts: Options{Dim: fuzzDim, ShedDepth: 8}.withDefaults(), keyed: false}
 
 	f.Fuzz(func(t *testing.T, which byte, body []byte) {
 		for _, srv := range []*Server{keyedSrv, rrSrv} {
@@ -82,7 +82,7 @@ func FuzzServeHTTP(f *testing.F) {
 	for i, p := range workload.SpherePoints(xrand.New(472), 50, fuzzDim) {
 		ix.InsertKeyed(uint64(i), p)
 	}
-	srv := New(ix, Options{Dim: fuzzDim, MaxBatch: 8, MaxBodyBytes: 1 << 16, Workers: 1})
+	srv := New(ix, Options{Dim: fuzzDim, ShedDepth: 8, MaxBodyBytes: 1 << 16, Workers: 1})
 	f.Cleanup(func() {
 		_ = srv.Close()
 		ix.Close()

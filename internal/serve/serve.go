@@ -53,7 +53,10 @@ type Options struct {
 	// QueueDepth is the intake-queue capacity. Default 4*BatchSize.
 	QueueDepth int
 	// ShedDepth is the backpressure watermark: query offers are refused
-	// with 429 once this many queries are parked. Default 3/4 QueueDepth.
+	// with 429 once this many queries are parked. It also bounds the
+	// vectors of one /v1/querybatch request, since a larger batch could
+	// never be parked whole: such a request is refused with 413 at decode.
+	// Default 3/4 QueueDepth.
 	ShedDepth int
 	// CacheSize bounds the hot-query cache entry count; 0 uses the
 	// default 4096, negative disables the cache.
@@ -61,8 +64,6 @@ type Options struct {
 	// Workers is the batch-engine worker count per flush. Default
 	// GOMAXPROCS.
 	Workers int
-	// MaxBatch bounds vectors per /v1/querybatch request. Default 1024.
-	MaxBatch int
 	// MaxBodyBytes bounds request bodies. Default 8 MiB.
 	MaxBodyBytes int64
 	// Timeout is the per-request deadline. Default 2s.
@@ -89,9 +90,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 1024
 	}
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = 8 << 20

@@ -301,6 +301,35 @@ func TestServeHealthz(t *testing.T) {
 	}
 }
 
+// TestServeBatchLimitIsShedDepth pins the per-request batch limit at
+// default options: a /v1/querybatch of ShedDepth vectors is parked whole
+// and answered on an idle server, and one vector more is refused at
+// decode with 413, since it could never be parked under the watermark.
+// Every vector is fresh, so no batch is shortened by cache hits.
+func TestServeBatchLimitIsShedDepth(t *testing.T) {
+	ix, _ := newKeyedIndex(t, 20)
+	defer ix.Close()
+	srv := New(ix, Options{Dim: testDim})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	limit := srv.opts.ShedDepth
+	vecs := workload.SpherePoints(xrand.New(403), 2*limit+1, testDim)
+	code, body := postJSON(t, ts.Client(), ts.URL+"/v1/querybatch", batchRequest{Vectors: vecs[:limit]})
+	if code != http.StatusOK {
+		t.Fatalf("batch of ShedDepth=%d vectors: status %d, want 200", limit, code)
+	}
+	var resp batchResponse
+	if err := json.Unmarshal(body, &resp); err != nil || len(resp.Results) != limit {
+		t.Fatalf("batch response: %d results, err %v", len(resp.Results), err)
+	}
+	code, body = postJSON(t, ts.Client(), ts.URL+"/v1/querybatch", batchRequest{Vectors: vecs[limit:]})
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("batch of ShedDepth+1=%d vectors: status %d (%.80s), want 413", limit+1, code, body)
+	}
+}
+
 // TestServeDurableFault pins that the edge never acknowledges a write the
 // durable store failed to journal: once a WAL sync fails, inserts and
 // deletes answer 503 with the cause and /healthz turns unhealthy, while

@@ -146,10 +146,10 @@ func (s *Server) decodeBatch(r io.Reader) (batchRequest, *wireError) {
 	if len(req.Vectors) == 0 {
 		return req, badRequest("vectors is required and must be non-empty")
 	}
-	if len(req.Vectors) > s.opts.MaxBatch {
+	if len(req.Vectors) > s.opts.ShedDepth {
 		return req, &wireError{
 			status: http.StatusRequestEntityTooLarge,
-			msg:    fmt.Sprintf("batch of %d vectors exceeds limit %d", len(req.Vectors), s.opts.MaxBatch),
+			msg:    fmt.Sprintf("batch of %d vectors exceeds limit %d (the shed watermark)", len(req.Vectors), s.opts.ShedDepth),
 		}
 	}
 	for i, vec := range req.Vectors {

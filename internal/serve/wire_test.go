@@ -17,7 +17,7 @@ import (
 func TestServeWireValidation(t *testing.T) {
 	ix, _ := newKeyedIndex(t, 30)
 	defer ix.Close()
-	srv := New(ix, Options{Dim: testDim, MaxBatch: 4, MaxBodyBytes: 1 << 14})
+	srv := New(ix, Options{Dim: testDim, ShedDepth: 4, MaxBodyBytes: 1 << 14})
 	defer srv.Close()
 	h := srv.Handler()
 
