@@ -199,9 +199,9 @@ func (e *Env) ReadSegment(name string) (*SegmentData, error) {
 	repCursors := make([]cursor, reps)
 	for i := 0; i < reps && c.err == nil; i++ {
 		repCursors[i] = c
-		c.skipU64s()        // key column
-		c.skip(8)           // mask
-		c.skipU64s()        // table slot keys
+		c.skipU64s() // key column
+		c.skip(8)    // mask
+		c.skipU64s() // table slot keys
 		for j := 0; j < 3; j++ {
 			c.skipI32s() // slot buckets, CSR starts, CSR ids
 		}

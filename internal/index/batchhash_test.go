@@ -174,8 +174,8 @@ func TestBatchHashRangeReporter(t *testing.T) {
 // hiding BatchHasher (and HashNeg) from the index layer.
 type scalarOnly struct{ inner core.Family[[]float64] }
 
-func (s scalarOnly) Name() string   { return s.inner.Name() }
-func (s scalarOnly) CPF() core.CPF  { return s.inner.CPF() }
+func (s scalarOnly) Name() string  { return s.inner.Name() }
+func (s scalarOnly) CPF() core.CPF { return s.inner.CPF() }
 func (s scalarOnly) Sample(rng *xrand.Rand) core.Pair[[]float64] {
 	pair := s.inner.Sample(rng)
 	return core.Pair[[]float64]{

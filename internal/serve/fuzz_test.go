@@ -2,8 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 
 	"dsh/internal/core"
@@ -115,4 +121,154 @@ func FuzzServeHTTP(f *testing.F) {
 			t.Fatalf("%d in-flight budget slots leaked after %s %s %q", n, method, path, body)
 		}
 	})
+}
+
+// FuzzWireDifferential holds the wire scanner to encoding/json, the
+// decoder it replaced, on all four request shapes. The oracle decodes
+// into the same request struct with unknown fields refused and nothing
+// but whitespace allowed after the value. Every body the scanner accepts
+// must decode to the oracle's values bit for bit; every body the oracle
+// rejects must get a 4xx from the full decoder; and a body the oracle
+// decodes may be refused by the scanner only for a field name that
+// encoding/json matched by unescaping it or by case folding.
+func FuzzWireDifferential(f *testing.F) {
+	const (
+		query byte = iota
+		batch
+		insert
+		del
+	)
+	for _, seed := range []struct {
+		which byte
+		body  string
+	}{
+		{query, `{"vector":[1,2,3,4]}`},
+		{query, `{"vector":[1,2,3,4],"max":2}`},
+		{query, ` {"max":-0 , "vector" : [-0,1e-400,1.5E+3,0.1]}` + "\n"},
+		{query, `{"vector":[1,2,3,4],"vector":[null,5]}`},
+		{query, `{"vector":[1,2,3,4],"vector":[],"vector":[null,null,null,null]}`},
+		{query, `{"vector":null,"max":null}`},
+		{query, `null`},
+		{query, `{"vector":[1,2,3,4]}}`},
+		{query, `{"vector":[1,2,3,4],"maxx":5}`},
+		{query, `{"vector":[1,2,3,4],"MAX":5}`},
+		{query, `{"vec\u0074or":[1,2,3,4]}`},
+		{query, `{"vector":[1e999,0,0,0]}`},
+		{query, `{"vector":[01,2,3,4]}`},
+		{batch, `{"vectors":[[1,2,3,4],[4,3,2,1]],"max":3}`},
+		{batch, `{"vectors":[[1,2,3,4]],"vectors":[null,[9]]}`},
+		{batch, `{"vectors":[]}`},
+		{insert, `{"key":7,"vector":[1,2,3,4]}`},
+		{insert, `{"key":7,"key":null,"vector":[1,2,3,4]}`},
+		{insert, `{"key":-1,"vector":[1,2,3,4]}`},
+		{del, `{"key":18446744073709551615}`},
+		{del, `{"id":3}`},
+		{del, `{"id":3,"ID":4}`},
+		{del, `{"key":7,"id":3}`},
+	} {
+		f.Add(seed.which, []byte(seed.body))
+	}
+
+	srv := &Server{opts: Options{Dim: fuzzDim, ShedDepth: 8}.withDefaults(), keyed: true}
+	f.Fuzz(func(t *testing.T, which byte, body []byte) {
+		switch which % 4 {
+		case query:
+			differential(t, body, scanQuery, srv.decodeQuery, func(a, b queryRequest) bool {
+				return sameFloats(a.Vector, b.Vector) && a.Max == b.Max
+			}, "vector", "max")
+		case batch:
+			differential(t, body, scanBatch, srv.decodeBatch, func(a, b batchRequest) bool {
+				if (a.Vectors == nil) != (b.Vectors == nil) || len(a.Vectors) != len(b.Vectors) || a.Max != b.Max {
+					return false
+				}
+				for i := range a.Vectors {
+					if !sameFloats(a.Vectors[i], b.Vectors[i]) {
+						return false
+					}
+				}
+				return true
+			}, "vectors", "max")
+		case insert:
+			differential(t, body, scanInsert, srv.decodeInsert, func(a, b insertRequest) bool {
+				return samePtr(a.Key, b.Key) && sameFloats(a.Vector, b.Vector)
+			}, "key", "vector")
+		case del:
+			differential(t, body, scanDelete, srv.decodeDelete, func(a, b deleteRequest) bool {
+				return samePtr(a.Key, b.Key) && samePtr(a.ID, b.ID)
+			}, "key", "id")
+		}
+	})
+}
+
+// differential checks one body against the oracle; names are the
+// shape's field names.
+func differential[T any](t *testing.T, body []byte, scan func([]byte, int) (T, *wireError),
+	decode func(io.Reader) (T, *wireError), same func(a, b T) bool, names ...string) {
+	t.Helper()
+	var want T
+	oerr := oracleDecode(body, &want)
+	got, serr := scan(body, fuzzDim)
+	switch {
+	case serr == nil && oerr != nil:
+		t.Fatalf("scanner accepted %q, encoding/json rejected it: %v", body, oerr)
+	case serr == nil && !same(got, want):
+		t.Fatalf("%q: scanner decoded %+v, encoding/json %+v", body, got, want)
+	case serr != nil && oerr == nil && !inexactName(serr, names):
+		t.Fatalf("scanner refused %q (%s), encoding/json decoded it to %+v", body, serr.msg, want)
+	}
+	if _, werr := decode(bytes.NewReader(body)); oerr != nil && (werr == nil || werr.status/100 != 4) {
+		t.Fatalf("encoding/json rejected %q (%v), decoder answered %v", body, oerr, werr)
+	}
+}
+
+// oracleDecode is encoding/json with unknown fields refused and nothing
+// but whitespace after the value.
+func oracleDecode(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) != 0 {
+		return errors.New("trailing data")
+	}
+	return nil
+}
+
+// inexactName reports whether werr refuses a field name that is escaped
+// or matches one of names only when case is folded.
+func inexactName(werr *wireError, names []string) bool {
+	quoted, ok := strings.CutPrefix(werr.msg, "unknown field ")
+	if !ok {
+		return false
+	}
+	name, err := strconv.Unquote(quoted)
+	if err != nil {
+		return false
+	}
+	if strings.Contains(name, `\`) {
+		return true
+	}
+	for _, n := range names {
+		if name != n && strings.EqualFold(name, n) {
+			return true
+		}
+	}
+	return false
+}
+
+func sameFloats(a, b []float64) bool {
+	if (a == nil) != (b == nil) || len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func samePtr[T comparable](a, b *T) bool {
+	return (a == nil) == (b == nil) && (a == nil || *a == *b)
 }

@@ -39,7 +39,7 @@ var (
 	mQueueWait = obs.NewHistogram("dsh_serve_queue_wait_ns",
 		"time a query spent parked in the intake queue before its batch flushed, in nanoseconds")
 	mServeLatency = obs.NewHistogram("dsh_serve_request_ns",
-		"server-side query latency (enqueue to response written) in nanoseconds")
+		"server-side query latency (enqueue to result received; reply encoding excluded) in nanoseconds")
 	mSnapRefresh = obs.NewCounter("dsh_serve_snapshot_refreshes_total",
 		"serving-snapshot refreshes triggered by an epoch advance")
 

@@ -227,13 +227,13 @@ func (s *Server) admit(w http.ResponseWriter) bool {
 	if s.adm.isDraining() {
 		mDrainRejected.Inc(s.stripe)
 		w.Header().Set("Retry-After", s.adm.retry)
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server is draining"})
+		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return false
 	}
 	if !s.adm.tryAcquire() {
 		mShed.Inc(s.stripe)
 		w.Header().Set("Retry-After", s.adm.retry)
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "in-flight budget exhausted"})
+		writeError(w, http.StatusTooManyRequests, "in-flight budget exhausted")
 		return false
 	}
 	return true
@@ -247,7 +247,7 @@ func (s *Server) unjournaled(w http.ResponseWriter) bool {
 	if err == nil {
 		return false
 	}
-	writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "durable store failed: " + err.Error()})
+	writeError(w, http.StatusServiceUnavailable, "durable store failed: "+err.Error())
 	return true
 }
 
@@ -275,17 +275,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !s.co.offer(p) {
 		mShed.Inc(s.stripe)
 		w.Header().Set("Retry-After", s.adm.retry)
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "intake queue over watermark"})
+		writeError(w, http.StatusTooManyRequests, "intake queue over watermark")
 		return
 	}
 	select {
 	case res := <-p.done:
 		mServeLatency.Observe(s.stripe, uint64(time.Since(start)))
-		writeJSON(w, http.StatusOK, queryResponse{IDs: nonNilIDs(res.ids), Epoch: res.epoch, Cached: res.cached})
+		writeReply(w, queryResponse{IDs: res.ids, Epoch: res.epoch, Cached: res.cached})
 	case <-ctx.Done():
 		p.canceled.Store(true)
 		mTimeouts.Inc(s.stripe)
-		writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "query deadline exceeded"})
+		writeError(w, http.StatusGatewayTimeout, "query deadline exceeded")
 	}
 }
 
@@ -322,7 +322,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			mShed.Inc(s.stripe)
 			w.Header().Set("Retry-After", s.adm.retry)
-			writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "intake queue over watermark"})
+			writeError(w, http.StatusTooManyRequests, "intake queue over watermark")
 			return
 		}
 	}
@@ -330,7 +330,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	for i, p := range ps {
 		select {
 		case res := <-p.done:
-			resp.Results[i] = nonNilIDs(res.ids)
+			resp.Results[i] = res.ids
 			resp.Epoch = res.epoch
 			if res.cached {
 				resp.Cached++
@@ -340,12 +340,12 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 				q.canceled.Store(true)
 			}
 			mTimeouts.Inc(s.stripe)
-			writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "query deadline exceeded"})
+			writeError(w, http.StatusGatewayTimeout, "query deadline exceeded")
 			return
 		}
 	}
 	mServeLatency.Observe(s.stripe, uint64(time.Since(start)))
-	writeJSON(w, http.StatusOK, resp)
+	writeReply(w, resp)
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
@@ -370,7 +370,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	if s.unjournaled(w) {
 		return
 	}
-	writeJSON(w, http.StatusOK, insertResponse{ID: id, Epoch: s.ix.Epoch()})
+	writeReply(w, insertResponse{ID: id, Epoch: s.ix.Epoch()})
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -395,7 +395,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if s.unjournaled(w) {
 		return
 	}
-	writeJSON(w, http.StatusOK, deleteResponse{Deleted: deleted, Epoch: s.ix.Epoch()})
+	writeReply(w, deleteResponse{Deleted: deleted, Epoch: s.ix.Epoch()})
 }
 
 // serveBatch is the dispatcher's flush hook: refresh the serving snapshot
@@ -473,12 +473,4 @@ func mixSig(sig uint64, max int) uint64 {
 	z ^= z >> 27
 	z *= 0x94d049bb133111eb
 	return z ^ z>>31
-}
-
-// nonNilIDs keeps empty result sets as [] rather than null on the wire.
-func nonNilIDs(ids []int) []int {
-	if ids == nil {
-		return []int{}
-	}
-	return ids
 }

@@ -1,8 +1,14 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 
 	"dsh/internal/index"
@@ -47,6 +53,10 @@ func TestServeWireValidation(t *testing.T) {
 		{"delete with neither", "/v1/delete", `{}`, http.StatusBadRequest},
 		{"keyed delete by id", "/v1/delete", `{"id":3}`, http.StatusBadRequest},
 		{"unknown endpoint", "/v1/nope", `{}`, http.StatusNotFound},
+		{"trailing close brace", "/v1/query", `{"vector":[1,2,3,4,5,6,7,8,9,10,11,12]}}`, http.StatusBadRequest},
+		{"trailing close bracket", "/v1/query", `{"vector":[1,2,3,4,5,6,7,8,9,10,11,12]}]`, http.StatusBadRequest},
+		{"misspelt field", "/v1/query", `{"vector":[1,2,3,4,5,6,7,8,9,10,11,12],"maxx":5}`, http.StatusBadRequest},
+		{"field name case", "/v1/query", `{"vector":[1,2,3,4,5,6,7,8,9,10,11,12],"MAX":5}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,8 +67,14 @@ func TestServeWireValidation(t *testing.T) {
 		})
 	}
 
+	// A misspelt bound is named, not silently dropped.
+	rr := doRaw(t, h, http.MethodPost, "/v1/query", []byte(`{"vector":[1,2,3,4,5,6,7,8,9,10,11,12],"maxx":5}`))
+	if !strings.Contains(rr.Body.String(), `unknown field \"maxx\"`) {
+		t.Fatalf("misspelt field: body %s, want it to name the field", rr.Body.String())
+	}
+
 	// Wrong method on a POST route.
-	rr := doRaw(t, h, http.MethodGet, "/v1/query", nil)
+	rr = doRaw(t, h, http.MethodGet, "/v1/query", nil)
 	if rr.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/query: status %d, want 405", rr.Code)
 	}
@@ -129,5 +145,136 @@ func TestCheckVector(t *testing.T) {
 	}
 	if err := checkVector([]float64{1, 2, 3}, 3); err != nil {
 		t.Fatalf("valid vector rejected: %v", err)
+	}
+}
+
+// TestWireReplyFormat pins each success reply byte for byte to what
+// json.NewEncoder(w).Encode wrote for it before the reply encoder
+// replaced it, with a nil id list sent as [], and checks the explicit
+// Content-Length.
+func TestWireReplyFormat(t *testing.T) {
+	cases := []struct {
+		name string
+		got  reply
+		want any // encoded with encoding/json
+	}{
+		{"query nil ids", queryResponse{IDs: nil, Epoch: 0, Cached: false},
+			queryResponse{IDs: []int{}, Epoch: 0, Cached: false}},
+		{"query cached", queryResponse{IDs: []int{7, 0, 123456789}, Epoch: 2, Cached: true},
+			queryResponse{IDs: []int{7, 0, 123456789}, Epoch: 2, Cached: true}},
+		{"query epoch 2^63", queryResponse{IDs: []int{1}, Epoch: 1 << 63},
+			queryResponse{IDs: []int{1}, Epoch: 1 << 63}},
+		{"batch", batchResponse{Results: [][]int{nil, {3, 1}, {}}, Epoch: 1 << 63, Cached: 2},
+			batchResponse{Results: [][]int{{}, {3, 1}, {}}, Epoch: 1 << 63, Cached: 2}},
+		{"batch one uncached", batchResponse{Results: [][]int{{5}}, Epoch: 0},
+			batchResponse{Results: [][]int{{5}}, Epoch: 0}},
+		{"insert", insertResponse{ID: 0, Epoch: 1 << 63}, insertResponse{ID: 0, Epoch: 1 << 63}},
+		{"insert large id", insertResponse{ID: math.MaxInt32, Epoch: 2}, insertResponse{ID: math.MaxInt32, Epoch: 2}},
+		{"delete true", deleteResponse{Deleted: true, Epoch: 2}, deleteResponse{Deleted: true, Epoch: 2}},
+		{"delete false", deleteResponse{Deleted: false, Epoch: 0}, deleteResponse{Deleted: false, Epoch: 0}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var want bytes.Buffer
+			if err := json.NewEncoder(&want).Encode(tc.want); err != nil {
+				t.Fatal(err)
+			}
+			rr := httptest.NewRecorder()
+			writeReply(rr, tc.got)
+			if rr.Code != http.StatusOK {
+				t.Fatalf("status %d", rr.Code)
+			}
+			if got := rr.Body.String(); got != want.String() {
+				t.Fatalf("body %q, want %q", got, want.String())
+			}
+			if cl := rr.Header().Get("Content-Length"); cl != strconv.Itoa(rr.Body.Len()) {
+				t.Fatalf("Content-Length %q, body is %d bytes", cl, rr.Body.Len())
+			}
+		})
+	}
+}
+
+// TestServeReplyNotChunked sends a /v1/querybatch whose reply is well
+// past net/http's 2 KiB chunking threshold over a real connection and
+// checks it arrives with a Content-Length, not Transfer-Encoding: chunked.
+func TestServeReplyNotChunked(t *testing.T) {
+	ix, pts := newKeyedIndex(t, 300)
+	defer ix.Close()
+	srv := New(ix, Options{Dim: testDim, QueueDepth: 256})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	buf, err := json.Marshal(batchRequest{Vectors: pts[:100]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Post(ts.URL+"/v1/querybatch", "application/json", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body bytes.Buffer
+	if _, err := body.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d body %s", resp.StatusCode, body.String())
+	}
+	if body.Len() <= 2048 {
+		t.Fatalf("reply of %d bytes does not exercise the chunking threshold", body.Len())
+	}
+	if len(resp.TransferEncoding) != 0 || resp.ContentLength != int64(body.Len()) {
+		t.Fatalf("reply of %d bytes sent with Transfer-Encoding %v, Content-Length %d",
+			body.Len(), resp.TransferEncoding, resp.ContentLength)
+	}
+}
+
+// wireQueryBody is a /v1/query body of one unit-sphere point with every
+// coordinate in shortest round-trip form, as the ledger's clients send
+// them.
+func wireQueryBody(dim int) []byte {
+	b := []byte(`{"vector":[`)
+	for i, x := range workload.SpherePoints(xrand.New(uint64(dim)), 1, dim)[0] {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendFloat(b, x, 'g', -1, 64)
+	}
+	return append(b, `]}`...)
+}
+
+// TestWireDecodeAllocs pins decodeQuery on a d=256 body to a handful of
+// allocations: the decoded vector, with the body buffer pooled.
+func TestWireDecodeAllocs(t *testing.T) {
+	body := wireQueryBody(256)
+	srv := &Server{opts: Options{Dim: 256}.withDefaults()}
+	rd := bytes.NewReader(body)
+	allocs := testing.AllocsPerRun(200, func() {
+		rd.Reset(body)
+		if _, werr := srv.decodeQuery(rd); werr != nil {
+			t.Fatal(werr)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("decodeQuery at d=256: %.1f allocations per call, want at most 3", allocs)
+	}
+}
+
+func BenchmarkWireDecode(b *testing.B) {
+	for _, dim := range []int{64, 256} {
+		b.Run(fmt.Sprintf("d=%d", dim), func(b *testing.B) {
+			body := wireQueryBody(dim)
+			srv := &Server{opts: Options{Dim: dim}.withDefaults()}
+			rd := bytes.NewReader(body)
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for b.Loop() {
+				rd.Reset(body)
+				if _, werr := srv.decodeQuery(rd); werr != nil {
+					b.Fatal(werr)
+				}
+			}
+		})
 	}
 }

@@ -52,8 +52,8 @@ func cpKey(best int, neg bool) uint64 {
 // (Kennedy & Ward). Hash draws its work buffer from the fft scratch pool,
 // so steady-state hashing performs no heap allocations.
 type fastCrossPolytopeHasher struct {
-	d     int // input dimension
-	n     int // padded power-of-two dimension; argmax runs over all n coordinates
+	d     int         // input dimension
+	n     int         // padded power-of-two dimension; argmax runs over all n coordinates
 	signs [][]float64 // fastRounds diagonals of random ±1 entries, length n
 }
 

@@ -230,9 +230,9 @@ func TestFastHashPathsNoAllocs(t *testing.T) {
 	cp.H.Hash(cpPts[0])
 	cpBatch.HashBatch(cpPts, out)
 	cases := map[string]func(){
-		"fastcp.Hash":            func() { cp.H.Hash(cpPts[0]) },
-		"fastcp.HashBatch":       func() { cpBatch.HashBatch(cpPts, out) },
-		"packedsimhash.Hash":     func() { sh.H.Hash(shPts[0]) },
+		"fastcp.Hash":             func() { cp.H.Hash(cpPts[0]) },
+		"fastcp.HashBatch":        func() { cpBatch.HashBatch(cpPts, out) },
+		"packedsimhash.Hash":      func() { sh.H.Hash(shPts[0]) },
 		"packedsimhash.HashBatch": func() { shBatch.HashBatch(shPts, out) },
 	}
 	for name, fn := range cases {

@@ -72,7 +72,6 @@ func handlerFor(r *obs.Registry) http.Handler {
 	return mux
 }
 
-
 // Start listens on addr (use ":0" for an ephemeral port) and serves
 // Handler in a background goroutine. It returns the running server and
 // the bound address; shut down with srv.Close or srv.Shutdown.
