@@ -25,13 +25,9 @@ type churnConfig struct {
 	Workers   int
 	Dim       int
 	Seed      uint64
-	// Policy is the background merge policy: "all" (monolithic) or
-	// "tiered".
+	// Policy is the background merge policy: "all" (monolithic,
+	// id-preserving) or "leveled" (tombstone GC with renumbering).
 	Policy string
-	// Freeze selects the memtable freeze mode: "inline" (the crossing
-	// Insert builds the segment under the lock) or "async" (detach and
-	// build off-lock).
-	Freeze string
 	// Shards is the number of ShardedIndex shards; values > 1 (or
 	// Writers > 1) switch the mode to the multi-writer benchmark, which
 	// also runs a single-shard baseline for comparison.
@@ -46,8 +42,9 @@ type churnConfig struct {
 	// ids) or "hash" (keyed upserts through InsertKeyed, which on a
 	// ShardedIndex hash-routes keys to shards).
 	Routing string
-	// Family selects the serving hash family (see servingFamily); empty
-	// means the historical default, SimHash^6 at L = 32.
+	// Family selects the serving hash family (see
+	// workload.ServingFamily); empty means the historical default,
+	// SimHash^6 at L = 32.
 	Family string
 }
 
@@ -64,19 +61,10 @@ func (cfg churnConfig) dynamicOptions() (index.DynamicOptions, error) {
 	switch cfg.Policy {
 	case "", "all":
 		opts.Policy = index.CompactAll
-	case "tiered":
-		opts.Policy = index.CompactTiered
 	case "leveled":
 		opts.Policy = index.CompactLeveled
 	default:
-		return opts, fmt.Errorf("unknown -policy %q (want all, tiered or leveled)", cfg.Policy)
-	}
-	switch cfg.Freeze {
-	case "", "inline":
-	case "async":
-		opts.AsyncFreeze = true
-	default:
-		return opts, fmt.Errorf("unknown -freeze %q (want inline or async)", cfg.Freeze)
+		return opts, fmt.Errorf("unknown -policy %q (want all or leveled)", cfg.Policy)
 	}
 	return opts, nil
 }
@@ -100,7 +88,7 @@ func runChurn(w io.Writer, cfg churnConfig) error {
 	}
 	keyed := cfg.Routing == "hash"
 	rng := xrand.New(cfg.Seed)
-	fam, L, err := servingFamily(orDefault(cfg.Family, "simhash"), cfg.Dim)
+	fam, L, err := workload.ServingFamily(orDefault(cfg.Family, "simhash"), cfg.Dim)
 	if err != nil {
 		return err
 	}
@@ -124,9 +112,9 @@ func runChurn(w io.Writer, cfg churnConfig) error {
 	}
 	defer dx.Close()
 	buildTime := time.Since(buildStart)
-	fmt.Fprintf(w, "churn: family=%s n0=%d inserts=%d queries=%d batch=%d workers=%d dim=%d L=%d policy=%s freeze=%s deletes=%.2f routing=%s\n",
+	fmt.Fprintf(w, "churn: family=%s n0=%d inserts=%d queries=%d batch=%d workers=%d dim=%d L=%d policy=%s deletes=%.2f routing=%s\n",
 		fam.Name(), initial, cfg.Points-initial, cfg.Queries, cfg.BatchSize, cfg.Workers, cfg.Dim, L,
-		orDefault(cfg.Policy, "all"), orDefault(cfg.Freeze, "inline"), cfg.Deletes, orDefault(cfg.Routing, "rr"))
+		orDefault(cfg.Policy, "all"), cfg.Deletes, orDefault(cfg.Routing, "rr"))
 	fmt.Fprintf(w, "build: %v\n", buildTime)
 
 	// Query batches run through the RunBatch worker pool with one pooled
@@ -168,7 +156,7 @@ func runChurn(w io.Writer, cfg churnConfig) error {
 	// against a layered index (frozen segments + live memtable +
 	// tombstones). Half the query budget is spent here, half after
 	// compaction. Every Insert is timed individually: the p99/max columns
-	// expose the freeze write stall that -freeze async removes.
+	// expose the inline freeze write stall.
 	half := cfg.Queries / 2
 	batches := (half + cfg.BatchSize - 1) / cfg.BatchSize
 	mrng := xrand.New(cfg.Seed + 1)
@@ -199,8 +187,8 @@ func runChurn(w io.Writer, cfg churnConfig) error {
 			}
 		}
 	})
-	fmt.Fprintf(w, "state: live=%d segments=%d memtable=%d pending-freezes=%d\n",
-		dx.Len(), dx.Segments(), dx.MemtableLen(), dx.PendingFreezes())
+	fmt.Fprintf(w, "state: live=%d segments=%d memtable=%d\n",
+		dx.Len(), dx.Segments(), dx.MemtableLen())
 	printGCRow(w, "pre-compact gc", dx.GCStats())
 	printInsertRow(w, insertLat, insertWall)
 	printChurnRow(w, "pre-compact", churnAgg, churnAllocs)
@@ -247,12 +235,11 @@ func printMetricsTable(w io.Writer) {
 	fmt.Fprintf(w, "%-12s inserts=%d upserts=%d deletes=%d deletes-keyed=%d\n",
 		"m/write", c["dsh_inserts_total"], c["dsh_upserts_total"],
 		c["dsh_deletes_total"], c["dsh_deletes_keyed_total"])
-	fmt.Fprintf(w, "%-12s inline=%d async=%d installs=%d rows=%d build-p99=%v\n",
+	fmt.Fprintf(w, "%-12s inline=%d snapshot=%d rows=%d build-p99=%v\n",
 		"m/freeze", c["dsh_freezes_inline_total"], c["dsh_freezes_async_total"],
-		c["dsh_freeze_installs_total"], c["dsh_frozen_rows_total"],
-		p99("dsh_freeze_build_ns"))
-	fmt.Fprintf(w, "%-12s all=%d tiered=%d upper=%d gc=%d rows=%d p99=%v\n",
-		"m/compact", c["dsh_compactions_all_total"], c["dsh_compactions_tiered_total"],
+		c["dsh_frozen_rows_total"], p99("dsh_freeze_build_ns"))
+	fmt.Fprintf(w, "%-12s all=%d upper=%d gc=%d rows=%d p99=%v\n",
+		"m/compact", c["dsh_compactions_all_total"],
 		c["dsh_compactions_upper_total"], c["dsh_compactions_gc_total"],
 		c["dsh_compaction_rows_total"], p99("dsh_compaction_ns"))
 	fmt.Fprintf(w, "%-12s collected=%d reclaimed=%dB\n",

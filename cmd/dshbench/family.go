@@ -8,17 +8,8 @@ import (
 
 	"dsh/internal/core"
 	"dsh/internal/index"
-	"dsh/internal/workload"
 	"dsh/internal/xrand"
 )
-
-// servingFamily resolves the -family flag into a family plus a repetition
-// count for the serving benchmarks. The name set and construction live in
-// workload.ServingFamily, shared with cmd/dshserve so both tools accept
-// identical names and build identical indexes.
-func servingFamily(name string, dim int) (core.Family[[]float64], int, error) {
-	return workload.ServingFamily(name, dim)
-}
 
 // hashCostPerQuery times a dedicated hashing pass — L freshly sampled
 // draws' query hashers over every query, exactly the per-query hashing

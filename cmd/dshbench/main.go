@@ -68,9 +68,8 @@ func main() {
 	batch := flag.Int("batch", 256, "throughput/churn: queries per batch")
 	workers := flag.Int("workers", 0, "throughput/churn: batch workers (0 = GOMAXPROCS)")
 	dim := flag.Int("dim", 24, "throughput/churn: dimension")
-	family := flag.String("family", "", "throughput/churn: serving hash family (cp, fastcp, simhash or batchsimhash; default: the annulus family in -throughput, simhash in -churn)")
-	policy := flag.String("policy", "all", "churn: background compaction policy (all, tiered or leveled)")
-	freeze := flag.String("freeze", "inline", "churn: memtable freeze mode (inline or async)")
+	family := flag.String("family", "", "throughput/churn: serving hash family (fastcp, simhash or batchsimhash; default: the annulus family in -throughput, simhash in -churn)")
+	policy := flag.String("policy", "all", "churn: background compaction policy (all or leveled)")
 	shards := flag.Int("shards", 1, "churn, recover: ShardedIndex shard count (>1 runs the multi-writer or sharded-recovery variant)")
 	writers := flag.Int("writers", 1, "churn: concurrent insert/delete goroutines (multi-writer benchmark)")
 	deletes := flag.Float64("deletes", 0.25, "churn: per-insert probability of a trailing delete")
@@ -171,7 +170,6 @@ func main() {
 			Dim:       *dim,
 			Seed:      *seed,
 			Policy:    *policy,
-			Freeze:    *freeze,
 			Shards:    *shards,
 			Writers:   *writers,
 			Deletes:   *deletes,

@@ -65,7 +65,7 @@ func runServeLoad(w io.Writer, cfg serveLoadConfig) error {
 		if famName == "" {
 			famName = "simhash"
 		}
-		fam, L, err := servingFamily(famName, cfg.Dim)
+		fam, L, err := workload.ServingFamily(famName, cfg.Dim)
 		if err != nil {
 			return err
 		}

@@ -36,7 +36,7 @@ type shardPassResult struct {
 
 func runShardedChurn(w io.Writer, cfg churnConfig, opts index.DynamicOptions) error {
 	rng := xrand.New(cfg.Seed)
-	fam, L, err := servingFamily(orDefault(cfg.Family, "simhash"), cfg.Dim)
+	fam, L, err := workload.ServingFamily(orDefault(cfg.Family, "simhash"), cfg.Dim)
 	if err != nil {
 		return err
 	}
@@ -46,9 +46,9 @@ func runShardedChurn(w io.Writer, cfg churnConfig, opts index.DynamicOptions) er
 	// main.go rejects non-positive values before this mode is reached.
 	shards, writers := cfg.Shards, cfg.Writers
 
-	fmt.Fprintf(w, "churn: family=%s n0=%d inserts=%d queries=%d batch=%d workers=%d writers=%d shards=%d dim=%d L=%d policy=%s freeze=%s deletes=%.2f routing=%s\n",
+	fmt.Fprintf(w, "churn: family=%s n0=%d inserts=%d queries=%d batch=%d workers=%d writers=%d shards=%d dim=%d L=%d policy=%s deletes=%.2f routing=%s\n",
 		fam.Name(), initial, cfg.Points-initial, cfg.Queries, cfg.BatchSize, cfg.Workers, writers, shards, cfg.Dim, L,
-		orDefault(cfg.Policy, "all"), orDefault(cfg.Freeze, "inline"), cfg.Deletes, orDefault(cfg.Routing, "rr"))
+		orDefault(cfg.Policy, "all"), cfg.Deletes, orDefault(cfg.Routing, "rr"))
 
 	// Sharded pass first, then the single-shard (single structural lock)
 	// baseline over the same point and query streams.

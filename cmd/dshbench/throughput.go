@@ -137,7 +137,7 @@ func runThroughput(w io.Writer, cfg throughputConfig) error {
 // core.BatchHasher when the family provides it), followed by the
 // hash-vs-probe cost split of the scalar path.
 func runThroughputFamily(w io.Writer, cfg throughputConfig) error {
-	fam, L, err := servingFamily(cfg.Family, cfg.Dim)
+	fam, L, err := workload.ServingFamily(cfg.Family, cfg.Dim)
 	if err != nil {
 		return err
 	}

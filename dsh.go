@@ -273,31 +273,27 @@ func RepetitionsForCPF(f float64) int { return index.RepetitionsForCPF(f) }
 // points, and a tombstone bitmap records Deletes. The repetition draws are
 // shared across all layers, so collision-probability semantics match a
 // static Index over the live points exactly. All methods are safe for
-// concurrent use. With DynamicOptions.AsyncFreeze, a full memtable keeps
-// serving reads while its tables build off-lock; segments retain their
-// hash-key columns, so every merge (monolithic or tiered, see
+// concurrent use. A full memtable freezes into a segment in place;
+// segments retain their hash-key columns, so every merge (see
 // CompactionPolicy) moves memory instead of re-evaluating hash functions.
 // Compact folds everything into one flat segment, after which steady-state
 // queries through a Querier allocate nothing.
 type DynamicIndex[P any] = index.DynamicIndex[P]
 
 // DynamicOptions configures a DynamicIndex (memtable freeze threshold,
-// asynchronous freezing, background compaction and its merge policy).
+// background compaction and its merge policy).
 type DynamicOptions = index.DynamicOptions
 
-// CompactionPolicy selects how automatic (background) compaction merges a
-// DynamicIndex's segments; explicit Compact calls always merge everything.
+// CompactionPolicy selects whether a DynamicIndex's merges keep ids
+// stable (CompactAll) or collect tombstones and renumber (CompactLeveled);
+// explicit Compact calls always merge everything.
 type CompactionPolicy = index.CompactionPolicy
 
 // Compaction policies.
 const (
 	// CompactAll folds all frozen state into a single segment on every
-	// automatic compaction.
+	// automatic compaction; ids never change.
 	CompactAll = index.CompactAll
-	// CompactTiered merges only contiguous runs of the newest
-	// similar-sized segments, so large old segments are rewritten rarely
-	// (each row moves O(log n) times over the index's life).
-	CompactTiered = index.CompactTiered
 	// CompactLeveled keeps one big bottom segment plus a small upper tier
 	// and garbage-collects tombstones in its bottom-level merges: dead
 	// rows are dropped permanently, survivors are renumbered through a
@@ -322,7 +318,7 @@ func NewDynamicIndex[P any](rng *Rand, fam Family[P], L int, points []P, opts Dy
 }
 
 // ShardedIndex is the multi-writer serving core: K independent
-// DynamicIndex shards — each with its own memtable, segment list, freezer,
+// DynamicIndex shards — each with its own memtable, segment list,
 // compaction policy and locks — sharing one set of L repetition draws, so
 // inserts and deletes on different shards never contend while queries keep
 // the exact collision-probability semantics (and candidate/distinct
@@ -628,7 +624,7 @@ type MetricsSnapshot = obs.Snapshot
 type MetricsHistogram = obs.HistogramSnapshot
 
 // TraceEvent is one buffered lifecycle event: a monotone sequence number,
-// timestamp, kind ("freeze.async", "compact.tiered", "gc",
+// timestamp, kind ("freeze.inline", "freeze.snapshot", "compact.all", "gc",
 // "snapshot.fallback", "wal.rotate", "recover", "durable.fault", ...) and
 // two kind-specific integer arguments.
 type TraceEvent = obs.Event

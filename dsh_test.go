@@ -299,7 +299,7 @@ func TestFacadeDynamicIndex(t *testing.T) {
 
 // TestFacadeDynamicVeneers drives the unified serving veneers through the
 // public API: annulus search and range reporting over a mutating
-// DynamicIndex with async freezing and tiered background compaction.
+// DynamicIndex with background compaction.
 func TestFacadeDynamicVeneers(t *testing.T) {
 	rng := dsh.NewRand(13)
 	unit := func() []float64 {
@@ -322,9 +322,7 @@ func TestFacadeDynamicVeneers(t *testing.T) {
 	dx := dsh.NewDynamicIndex(rng, dsh.Power(dsh.SimHash(16), 4), 16, pts[:200],
 		dsh.DynamicOptions{
 			MemtableThreshold:    64,
-			AsyncFreeze:          true,
 			BackgroundCompaction: true,
-			Policy:               dsh.CompactTiered,
 			MaxSegments:          3,
 		})
 	defer dx.Close()

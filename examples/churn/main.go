@@ -2,11 +2,10 @@
 // article embeddings is not static — new articles are published, old ones
 // are retracted — so the index must absorb inserts and deletes without a
 // full rebuild. dsh.DynamicIndex layers a mutable memtable over frozen
-// flat-table segments with a tombstone bitmap for deletes; with
-// AsyncFreeze a full memtable keeps serving reads while its tables build
-// off-lock, and the background compactor merges the newest segments with
-// the tiered policy — without re-evaluating a single hash function,
-// because every layer retains its key columns.
+// flat-table segments with a tombstone bitmap for deletes; a full
+// memtable freezes into a segment, and the background compactor folds the
+// segments together once they pile up — without re-evaluating a single
+// hash function, because every layer retains its key columns.
 //
 // The annulus-search veneer is the same AnnulusIndex that serves static
 // indexes: dsh.NewAnnulusIndexOver wraps the mutating backend in the
@@ -45,9 +44,7 @@ func main() {
 	dx := dsh.NewDynamicIndex(rng, ann, L, corpus.Points[:initial],
 		dsh.DynamicOptions{
 			MemtableThreshold:    256,
-			AsyncFreeze:          true,              // full memtables detach; tables build off-lock
-			BackgroundCompaction: true,              // merge when segments pile up...
-			Policy:               dsh.CompactTiered, // ...but only the newest similar-sized runs
+			BackgroundCompaction: true, // merge when more than 4 segments pile up
 			MaxSegments:          4,
 		})
 	defer dx.Close()
@@ -73,8 +70,8 @@ func main() {
 			}
 		}
 	}
-	fmt.Printf("after churn: %d live articles, %d retracted, %d segments + %d memtable entries (%d freezes pending)\n",
-		dx.Len(), retracted, dx.Segments(), dx.MemtableLen(), dx.PendingFreezes())
+	fmt.Printf("after churn: %d live articles, %d retracted, %d segments + %d memtable entries\n",
+		dx.Len(), retracted, dx.Segments(), dx.MemtableLen())
 
 	hits := 0
 	const queriesRun = 10

@@ -5,8 +5,8 @@
 // wraps a DynamicIndex in the Theorem 6.5 reporting algorithm — the same
 // RangeReporter veneer that serves static indexes — so the report set
 // tracks the live corpus: freshly inserted readings appear immediately,
-// retired ones vanish immediately, and background tiered compaction keeps
-// the layer count (visible in QueryStats.Probes) bounded without ever
+// retired ones vanish immediately, and background compaction keeps the
+// layer count (visible in QueryStats.Probes) bounded without ever
 // re-hashing a reading.
 //
 //	go run ./examples/dynrange
@@ -46,9 +46,7 @@ func main() {
 	dx := dsh.NewDynamicIndex(rng, fam, L, pts[:initial],
 		dsh.DynamicOptions{
 			MemtableThreshold:    200,
-			AsyncFreeze:          true,
 			BackgroundCompaction: true,
-			Policy:               dsh.CompactTiered,
 			MaxSegments:          4,
 		})
 	defer dx.Close()

@@ -2,7 +2,7 @@
 // DynamicIndex serializes every mutation on one RWMutex; under several
 // concurrent writer threads that lock becomes the bottleneck.
 // dsh.NewShardedDynamicIndex partitions points by id across K independent
-// shards — each with its own memtable, segments, freezer and compactor —
+// shards — each with its own memtable, segments and compactor —
 // so writers on different shards never contend, while queries probe every
 // shard with the same per-repetition key and return exactly the candidate
 // sets a single index would.
@@ -50,9 +50,7 @@ func main() {
 		Shards: shards,
 		Dynamic: dsh.DynamicOptions{
 			MemtableThreshold:    256,
-			AsyncFreeze:          true,
 			BackgroundCompaction: true,
-			Policy:               dsh.CompactTiered,
 		},
 	})
 	defer sx.Close()
@@ -124,7 +122,6 @@ func main() {
 		Routing: dsh.RouteHash,
 		Dynamic: dsh.DynamicOptions{
 			MemtableThreshold: 256,
-			AsyncFreeze:       true,
 			Policy:            dsh.CompactLeveled,
 		},
 	})

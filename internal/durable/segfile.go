@@ -46,6 +46,13 @@ import (
 const (
 	segMagic   = 0x0a3167657368_7364 // "dsh" "seg1\n" packed LE
 	segVersion = 2
+
+	// minRowBytes and minRepBytes are the least body bytes one row (its
+	// id and its payload length) and one repetition (the mask and five
+	// section counts) occupy; the reader rejects header counts the body
+	// cannot hold before sizing anything by them.
+	minRowBytes = 4 + 4
+	minRepBytes = 8 + 5*4
 )
 
 // TableData mirrors one repetition's flat hash table.
@@ -187,6 +194,9 @@ func (e *Env) ReadSegment(name string) (*SegmentData, error) {
 	rows := int(c.u32())
 	if c.err != nil || reps < 0 || reps > 1<<16 || rows < 0 || rows > math.MaxInt32 {
 		return nil, fmt.Errorf("%w: %s: bad header", ErrCorrupt, name)
+	}
+	if room := len(c.b) - minRepBytes*reps; room < 0 || rows > room/minRowBytes {
+		return nil, fmt.Errorf("%w: %s: header counts %d rows, %d repetitions in a %d-byte body", ErrCorrupt, name, rows, reps, len(body))
 	}
 	sd := &SegmentData{
 		GlobalIDs: c.i32sAliased(),

@@ -41,7 +41,7 @@ func TestSnapshotBarrierSingleInstant(t *testing.T) {
 	sx := NewSharded[[]float64](xrand.New(61), dynamicFamily(), 6, nil, ShardOptions{
 		Shards:  4,
 		Routing: RouteHash,
-		Dynamic: DynamicOptions{MemtableThreshold: 32, AsyncFreeze: true},
+		Dynamic: DynamicOptions{MemtableThreshold: 32},
 	})
 	defer sx.Close()
 

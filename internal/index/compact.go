@@ -17,33 +17,26 @@ import (
 // The expensive column concatenation and table builds run against an
 // immutable snapshot with no lock held, so concurrent queriers keep
 // answering from the old layers; the swap retakes the structural lock and
-// replaces exactly the snapshotted layers. All rewrites (merges and
-// async-freeze installs) are serialized by mergeMu, and every other
-// mutation only appends to the layer lists, so a snapshot's layers stay at
-// their positions for the whole build and no validation retry is needed.
+// replaces exactly the snapshotted layers. All merges are serialized by
+// mergeMu, and every other mutation only appends to the segment list, so
+// a snapshot's layers stay at their positions for the whole build and no
+// validation retry is needed.
 
-// CompactionPolicy selects how automatic (background) compaction merges
-// segments; see the constants. Explicit Compact calls always merge
-// everything regardless of policy.
+// CompactionPolicy selects how merges treat tombstones; see the
+// constants. Explicit Compact calls always merge everything regardless of
+// policy.
 type CompactionPolicy int
 
 const (
-	// CompactAll is the monolithic policy: every automatic compaction
-	// folds all frozen state into a single segment. Queries then probe
-	// one layer per repetition, but each merge rewrites the whole index.
+	// CompactAll is the monolithic, id-preserving policy: every automatic
+	// compaction folds all frozen state into a single segment. Queries then
+	// probe one layer per repetition, but each merge rewrites the whole
+	// index, and dead ids keep their tombstone bits forever.
 	CompactAll CompactionPolicy = iota
-	// CompactTiered merges only a contiguous run of the newest
-	// similar-sized segments (a size-tiered policy with growth factor
-	// DynamicOptions.GrowthFactor): small fresh segments are folded
-	// together quickly while large old segments are rewritten only when
-	// the accumulated young data reaches a comparable size, so each row is
-	// moved O(log n) times over the life of the index instead of once per
-	// freeze.
-	CompactTiered
 	// CompactLeveled keeps one big bottom-level segment plus a small upper
 	// tier. Automatic compactions fold fresh upper segments together
-	// until the upper tier reaches 1/GrowthFactor of the bottom segment
-	// (or dead rows reach 1/GrowthFactor of the live count), then run a
+	// until the upper tier reaches 1/growthFactor of the bottom segment
+	// (or dead rows reach 1/growthFactor of the live count), then run a
 	// bottom-level merge that garbage-collects tombstones for good: dead
 	// ids are dropped permanently, surviving rows are renumbered through a
 	// dense shrinking id space (matching a static rebuild over the
@@ -55,17 +48,17 @@ const (
 	CompactLeveled
 )
 
-// defaultGrowthFactor is the DynamicOptions.GrowthFactor default, shared
-// by the tiered and leveled policies.
-const defaultGrowthFactor = 4
+// growthFactor is the size ratio steering the leveled policy; see
+// CompactLeveled.
+const growthFactor = 4
 
 // GCStats reports tombstone occupancy and garbage-collection progress for
 // a DynamicIndex (or, summed across shards, a ShardedIndex). DeadRows
 // counts tombstoned rows still occupying table space across every layer;
 // CollectedRows and ReclaimedBitmapBytes accumulate what leveled GC merges
-// have permanently dropped. Under CompactAll and CompactTiered, merges
-// drop dead rows from the tables (DeadRows shrinks) but never renumber
-// ids, so BitmapBytes only grows; only CompactLeveled reclaims it.
+// have permanently dropped. Under CompactAll, merges drop dead rows from
+// the tables (DeadRows shrinks) but never renumber ids, so BitmapBytes
+// only grows; only CompactLeveled reclaims it.
 type GCStats struct {
 	// LiveRows is the number of live (inserted and not deleted) rows.
 	LiveRows int
@@ -87,6 +80,15 @@ type GCStats struct {
 type colSource struct {
 	ids  []int32
 	keys [][]uint64
+}
+
+// colSources returns the retained columns of segs, in order.
+func colSources(segs []*segment) []colSource {
+	srcs := make([]colSource, len(segs))
+	for i, s := range segs {
+		srcs[i] = colSource{ids: s.globalIDs, keys: s.keys}
+	}
+	return srcs
 }
 
 // mergeSources concatenates the retained columns of the sources (given
@@ -134,12 +136,11 @@ func mergeSources(L int, srcs []colSource, dead *bitvec.Bitmap) *segment {
 	return seg
 }
 
-// Compact detaches the memtable and merges it, every pending detached
-// memtable, and all frozen segments into a single segment, dropping
-// deleted points from the tables. After Compact the index answers queries
-// from one flat segment and an empty memtable — the zero-allocation
-// steady state, with candidate order matching a static Index over the
-// live points. Safe to call concurrently with queries and mutations.
+// Compact freezes the memtable and merges it with all frozen segments into
+// a single segment, dropping deleted points from the tables. After Compact
+// the index answers queries from one flat segment and an empty memtable —
+// the zero-allocation steady state, with candidate order matching a static
+// Index over the live points. Safe to call concurrently with queries and mutations.
 // Deletes that land during the merge stay tombstoned (bits are never
 // cleared), so they remain filtered at query time even though the merged
 // tables still contain them until the next merge.
@@ -157,13 +158,9 @@ func (dx *DynamicIndex[P]) Compact() {
 	defer dx.mergeMu.Unlock()
 
 	dx.mu.Lock()
-	if dx.mem.len() > 0 {
-		dx.frozen = append(dx.frozen, dx.mem)
-		dx.freshMemtableLocked()
-	}
+	dx.freezeLocked(false)
 	segs := dx.segments
-	fmems := dx.frozen
-	if len(fmems) == 0 && len(segs) <= 1 && !dx.segmentsHaveTombstonesLocked() {
+	if len(segs) <= 1 && !dx.segmentsHaveTombstonesLocked() {
 		dx.mu.Unlock()
 		return
 	}
@@ -171,14 +168,7 @@ func (dx *DynamicIndex[P]) Compact() {
 	dx.mu.Unlock()
 
 	start := time.Now()
-	srcs := make([]colSource, 0, len(segs)+len(fmems))
-	for _, s := range segs {
-		srcs = append(srcs, colSource{ids: s.globalIDs, keys: s.keys})
-	}
-	for _, fm := range fmems {
-		srcs = append(srcs, colSource{ids: fm.ids, keys: fm.keys})
-	}
-	merged := mergeSources(len(dx.pairs), srcs, &dead)
+	merged := mergeSources(len(dx.pairs), colSources(segs), &dead)
 	rows := 0
 	if merged != nil {
 		rows = merged.len()
@@ -186,13 +176,12 @@ func (dx *DynamicIndex[P]) Compact() {
 	mCompactAll.Inc(dx.stripe)
 	mCompactRows.Add(dx.stripe, uint64(rows))
 	mCompactDur.Observe(dx.stripe, uint64(time.Since(start)))
-	obs.RecordEvent("compact.all", int64(rows), int64(len(segs)+len(fmems)))
+	obs.RecordEvent("compact.all", int64(rows), int64(len(segs)))
 
 	dx.mu.Lock()
-	// The snapshotted layers are still the prefixes of their lists:
-	// rewrites are serialized by mergeMu (held), and Insert/Flush only
-	// append. Keep everything appended since the snapshot.
-	dx.frozen = append([]*memtable(nil), dx.frozen[len(fmems):]...)
+	// The snapshotted segments are still the prefix of the list: merges
+	// are serialized by mergeMu (held), and freezes only append. Keep
+	// everything appended since the snapshot.
 	rest := dx.segments[len(segs):]
 	if merged != nil {
 		dx.segments = append([]*segment{merged}, rest...)
@@ -209,8 +198,8 @@ func (dx *DynamicIndex[P]) Compact() {
 // survivors id for id), rebuild the tombstone bitmap at the new size, and
 // remap the external-key table. Layers that accumulated while the merge
 // built (ids assigned after the pin) shift down by the number of dropped
-// rows; they are renumbered via copies, so snapshots pinned under the old
-// id space stay consistent. When any row is dropped the mutation epoch
+// rows; segments are renumbered via copies, so snapshots pinned under the
+// old id space stay consistent. When any row is dropped the mutation epoch
 // advances — ids changed, so epoch-based staleness checks (and caches
 // keyed on ids) correctly observe the GC.
 func (dx *DynamicIndex[P]) compactGC() {
@@ -218,17 +207,12 @@ func (dx *DynamicIndex[P]) compactGC() {
 	defer dx.mergeMu.Unlock()
 
 	dx.mu.Lock()
-	if dx.mem.len() > 0 {
-		dx.frozen = append(dx.frozen, dx.mem)
-		dx.freshMemtableLocked()
-	}
+	dx.freezeLocked(false)
 	segs := dx.segments
-	fmems := dx.frozen
 	snapBound := len(dx.points)
-	// Fast path: one dense segment covering every id, nothing pending, no
-	// tombstones — the GC would be an identity rewrite.
-	if len(fmems) == 0 && dx.dead.Count() == 0 &&
-		(len(segs) == 0 || (len(segs) == 1 && segs[0].len() == snapBound)) {
+	// Fast path: one dense segment covering every id, no tombstones — the
+	// GC would be an identity rewrite.
+	if dx.dead.Count() == 0 && (len(segs) == 0 || (len(segs) == 1 && segs[0].len() == snapBound)) {
 		dx.mu.Unlock()
 		return
 	}
@@ -240,15 +224,10 @@ func (dx *DynamicIndex[P]) compactGC() {
 	// Off-lock: concatenate the retained columns, dropping rows dead at
 	// pin time (zero hash evaluations), then rebase the survivors onto the
 	// dense id space.
-	srcs := make([]colSource, 0, len(segs)+len(fmems))
+	srcs := colSources(segs)
 	mergedRows := 0
 	for _, s := range segs {
-		srcs = append(srcs, colSource{ids: s.globalIDs, keys: s.keys})
 		mergedRows += s.len()
-	}
-	for _, fm := range fmems {
-		srcs = append(srcs, colSource{ids: fm.ids, keys: fm.keys})
-		mergedRows += fm.len()
 	}
 	merged := mergeSources(len(dx.pairs), srcs, &dead)
 
@@ -298,9 +277,9 @@ func (dx *DynamicIndex[P]) compactGC() {
 	dx.points = append(newPoints, dx.points[snapBound:]...)
 
 	// Renumber the layers appended since the pin (all their ids are >=
-	// snapBound: freezer installs were excluded by mergeMu, and inline
-	// freezes or snapshot detaches only carry post-pin inserts). Copies,
-	// not in-place edits: pinned snapshots keep the originals.
+	// snapBound: freezes since the pin only carry post-pin inserts).
+	// Segments are copied, not edited in place: pinned snapshots keep the
+	// originals. The live memtable is never pinned, so it shifts in place.
 	rest := dx.segments[len(segs):]
 	swapped := make([]*segment, 0, 1+len(rest))
 	if newSeg != nil {
@@ -310,14 +289,7 @@ func (dx *DynamicIndex[P]) compactGC() {
 		swapped = append(swapped, s.withShiftedIDs(delta))
 	}
 	dx.segments = swapped
-	restMems := dx.frozen[len(fmems):]
-	dx.frozen = make([]*memtable, 0, len(restMems))
-	for _, fm := range restMems {
-		dx.frozen = append(dx.frozen, fm.remapped(delta))
-	}
-	if dx.mem.len() > 0 {
-		dx.mem = dx.mem.remapped(delta)
-	}
+	dx.mem.shiftIDs(delta)
 
 	// Rebuild the tombstone bitmap in the new id space: survivors deleted
 	// during the merge keep their (translated) bits, dropped rows lose
@@ -397,8 +369,8 @@ func rankOf(ids []int32, id int32) int {
 
 // compactLeveledStep runs one automatic step of the leveled policy and
 // reports whether it did productive work. It triggers the bottom-level GC
-// merge when the upper tier has grown to 1/GrowthFactor of the bottom
-// segment or dead rows have reached 1/GrowthFactor of the live count;
+// merge when the upper tier has grown to 1/growthFactor of the bottom
+// segment or dead rows have reached 1/growthFactor of the live count;
 // otherwise it folds the upper segments (everything above the bottom one)
 // into a single level-1 segment.
 func (dx *DynamicIndex[P]) compactLeveledStep() bool {
@@ -406,9 +378,6 @@ func (dx *DynamicIndex[P]) compactLeveledStep() bool {
 	segs := dx.segments
 	live := dx.live
 	rows := dx.mem.len()
-	for _, fm := range dx.frozen {
-		rows += fm.len()
-	}
 	for _, s := range segs {
 		rows += s.len()
 	}
@@ -416,13 +385,12 @@ func (dx *DynamicIndex[P]) compactLeveledStep() bool {
 	if len(segs) == 0 {
 		return false
 	}
-	growth := dx.opts.GrowthFactor
 	bottom := segs[0].len()
 	upper := 0
 	for _, s := range segs[1:] {
 		upper += s.len()
 	}
-	if upper*growth >= bottom || (rows-live)*growth >= live+1 {
+	if upper*growthFactor >= bottom || (rows-live)*growthFactor >= live+1 {
 		dx.compactGC()
 		return true
 	}
@@ -431,8 +399,8 @@ func (dx *DynamicIndex[P]) compactLeveledStep() bool {
 
 // compactUpperStep folds every segment above the bottom one into a single
 // level-1 segment and reports whether a merge happened (false with fewer
-// than two upper segments). The memtable and pending detached memtables
-// are left alone — freezes, not merges, are responsible for them.
+// than two upper segments). The memtable is left alone — freezes, not
+// merges, are responsible for it.
 //
 // Unlike the other merge steps, an upper fold is strictly id-preserving:
 // tombstoned rows are retained, not dropped. Dropping them here once
@@ -453,12 +421,8 @@ func (dx *DynamicIndex[P]) compactUpperStep() bool {
 		return false
 	}
 	start := time.Now()
-	srcs := make([]colSource, 0, len(segs)-1)
-	for _, s := range segs[1:] {
-		srcs = append(srcs, colSource{ids: s.globalIDs, keys: s.keys})
-	}
 	var noDead bitvec.Bitmap // keep every row: upper merges never drop
-	merged := mergeSources(len(dx.pairs), srcs, &noDead)
+	merged := mergeSources(len(dx.pairs), colSources(segs[1:]), &noDead)
 	rows := 0
 	if merged != nil {
 		rows = merged.len()
@@ -481,74 +445,6 @@ func (dx *DynamicIndex[P]) compactUpperStep() bool {
 	dx.segments = swapped
 	dx.mu.Unlock()
 	return true
-}
-
-// compactTieredStep merges the newest run of similar-sized segments into
-// one, dropping their tombstoned rows, and reports whether a merge
-// happened (false when fewer than two segments are tier-eligible). The
-// memtable and pending detached memtables are left alone — freezes, not
-// merges, are responsible for them.
-func (dx *DynamicIndex[P]) compactTieredStep() bool {
-	dx.mergeMu.Lock()
-	defer dx.mergeMu.Unlock()
-
-	dx.mu.RLock()
-	segs := dx.segments
-	dead := dx.dead.Clone()
-	dx.mu.RUnlock()
-
-	lo := tieredRunStart(segs, dx.opts.GrowthFactor)
-	if len(segs)-lo < 2 {
-		return false
-	}
-	start := time.Now()
-	srcs := make([]colSource, 0, len(segs)-lo)
-	for _, s := range segs[lo:] {
-		srcs = append(srcs, colSource{ids: s.globalIDs, keys: s.keys})
-	}
-	merged := mergeSources(len(dx.pairs), srcs, &dead)
-	rows := 0
-	if merged != nil {
-		rows = merged.len()
-	}
-	mCompactTiered.Inc(dx.stripe)
-	mCompactRows.Add(dx.stripe, uint64(rows))
-	mCompactDur.Observe(dx.stripe, uint64(time.Since(start)))
-	obs.RecordEvent("compact.tiered", int64(rows), int64(len(segs)-lo))
-
-	dx.mu.Lock()
-	// segs[lo:] still occupies positions lo..len(segs) of dx.segments:
-	// concurrent freezes only appended past len(segs), and other merges
-	// are excluded by mergeMu.
-	rest := dx.segments[len(segs):]
-	swapped := make([]*segment, 0, lo+1+len(rest))
-	swapped = append(swapped, dx.segments[:lo]...)
-	if merged != nil {
-		swapped = append(swapped, merged)
-	}
-	swapped = append(swapped, rest...)
-	dx.segments = swapped
-	dx.mu.Unlock()
-	return true
-}
-
-// tieredRunStart returns the start index of the maximal suffix run of
-// segments eligible for a tiered merge: walking newest to oldest, an
-// older segment joins the run while it is at most growth times the
-// combined size of the newer segments already in it. Large old segments
-// therefore stay out of the run until enough young data has accumulated
-// next to them.
-func tieredRunStart(segs []*segment, growth int) int {
-	if len(segs) == 0 {
-		return 0
-	}
-	lo := len(segs) - 1
-	total := segs[lo].len()
-	for lo > 0 && segs[lo-1].len() <= growth*total {
-		lo--
-		total += segs[lo].len()
-	}
-	return lo
 }
 
 // segmentsHaveTombstonesLocked reports whether any frozen segment still

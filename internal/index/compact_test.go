@@ -44,8 +44,9 @@ func (f countingFamily) Sample(rng *xrand.Rand) core.Pair[[]float64] {
 
 // TestCompactionPerformsNoHashEvaluations is the rehash-free acceptance
 // criterion: once a point's keys are evaluated at Insert (or initial
-// construction), no freeze, flush, monolithic compaction, or tiered merge
-// ever evaluates a hash function again.
+// construction), no freeze (threshold, Snapshot or Flush), leveled
+// upper-tier fold, or monolithic compaction ever evaluates a hash function
+// again.
 func TestCompactionPerformsNoHashEvaluations(t *testing.T) {
 	fam := countingFamily{inner: dynamicFamily(), hCalls: &atomic.Int64{}, gCalls: &atomic.Int64{}}
 	const L, initial, inserts = 12, 100, 400
@@ -53,8 +54,11 @@ func TestCompactionPerformsNoHashEvaluations(t *testing.T) {
 
 	dx := NewDynamic[[]float64](xrand.New(62), fam, L, pts[:initial],
 		DynamicOptions{MemtableThreshold: 64})
-	for _, p := range pts[initial:] {
+	for i, p := range pts[initial:] {
 		dx.Insert(p)
+		if i%100 == 50 {
+			dx.Snapshot().Release() // a Snapshot-forced freeze
+		}
 	}
 	for id := 0; id < initial+inserts; id += 5 {
 		dx.Delete(id)
@@ -65,10 +69,11 @@ func TestCompactionPerformsNoHashEvaluations(t *testing.T) {
 	}
 
 	dx.Flush()
-	if dx.Segments() < 3 {
+	if dx.Segments() < 4 {
 		t.Fatalf("fixture too flat: %d segments", dx.Segments())
 	}
-	for dx.compactTieredStep() {
+	if !dx.compactUpperStep() {
+		t.Fatal("compactUpperStep found nothing to fold")
 	}
 	dx.Compact()
 	if got := fam.hCalls.Load(); got != want {
@@ -96,123 +101,69 @@ func TestCompactionPerformsNoHashEvaluations(t *testing.T) {
 	}
 }
 
-// TestTieredCompactionPreservesResults drives tiered merge steps over a
-// many-segment index and checks each step reduces the segment count while
-// leaving query results bit-identical.
-func TestTieredCompactionPreservesResults(t *testing.T) {
-	pts := workload.SpherePoints(xrand.New(63), 600, testDim)
-	dx := NewDynamic[[]float64](xrand.New(64), dynamicFamily(), 10, nil,
-		DynamicOptions{MemtableThreshold: 32})
-	for _, p := range pts {
+// TestAsyncFreezeMatchesInline checks that every freeze path serves the
+// static answer: an insert/delete stream frozen at the threshold, by
+// Snapshots mid-stream and by Flush returns exactly the candidate stream
+// of a static New over the survivors with the same repetition draws,
+// before and after Compact.
+func TestAsyncFreezeMatchesInline(t *testing.T) {
+	pts := workload.SpherePoints(xrand.New(71), 800, testDim)
+	dx := NewDynamic[[]float64](xrand.New(72), dynamicFamily(), 12, pts[:200],
+		DynamicOptions{MemtableThreshold: 64})
+	for i, p := range pts[200:] {
 		dx.Insert(p)
+		if i%50 == 7 {
+			dx.Snapshot().Release()
+		}
 	}
-	for id := 0; id < 600; id += 7 {
+	for id := 0; id < 800; id += 9 {
 		dx.Delete(id)
 	}
 	dx.Flush()
-
-	queries := workload.SpherePoints(xrand.New(65), 16, testDim)
-	want := make([][]int, len(queries))
-	for i, q := range queries {
-		want[i] = dx.CollectDistinct(q, 0)
+	if got := dx.MemtableLen(); got != 0 {
+		t.Fatalf("Flush left %d rows in the memtable", got)
 	}
 
-	for {
-		before := dx.Segments()
-		if !dx.compactTieredStep() {
-			break
+	var survivors [][]float64
+	var ids []int
+	for id := range pts {
+		if !dx.Deleted(id) {
+			survivors = append(survivors, pts[id])
+			ids = append(ids, id)
 		}
-		after := dx.Segments()
-		if after >= before {
-			t.Fatalf("tiered step grew segments: %d -> %d", before, after)
-		}
+	}
+	if dx.Len() != len(survivors) {
+		t.Fatalf("Len = %d, want %d survivors", dx.Len(), len(survivors))
+	}
+	static := New(xrand.New(72), dynamicFamily(), 12, survivors)
+	queries := workload.SpherePoints(xrand.New(73), 24, testDim)
+	check := func(label string) {
+		t.Helper()
 		for i, q := range queries {
-			if got := dx.CollectDistinct(q, 0); !reflect.DeepEqual(got, want[i]) {
-				t.Fatalf("query %d diverged after tiered step: %v != %v", i, got, want[i])
+			var want []int
+			for _, pos := range static.CollectDistinct(q, 0) {
+				want = append(want, ids[pos])
+			}
+			if got := dx.CollectDistinct(q, 0); (len(got) > 0 || len(want) > 0) && !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s query %d: dynamic %v != static %v", label, i, got, want)
 			}
 		}
 	}
-	if dx.Segments() > 2 {
-		t.Fatalf("tiered steps left %d segments over equal-sized runs", dx.Segments())
-	}
-}
-
-func TestTieredRunStart(t *testing.T) {
-	seg := func(n int) *segment { return &segment{globalIDs: make([]int32, n)} }
-	cases := []struct {
-		sizes []int
-		want  int
-	}{
-		{nil, 0},
-		{[]int{100}, 0},
-		{[]int{100, 100}, 0},                // peers merge
-		{[]int{10000, 100, 100}, 1},         // big old segment stays out
-		{[]int{10000, 100, 100, 100}, 1},    // run grows along the suffix
-		{[]int{400, 100}, 0},                // within the growth factor
-		{[]int{401, 100}, 1},                // just beyond it
-		{[]int{100000, 4000, 1000, 250}, 1}, // geometric chain folds up to the giant
-	}
-	for _, c := range cases {
-		segs := make([]*segment, len(c.sizes))
-		for i, n := range c.sizes {
-			segs[i] = seg(n)
-		}
-		if got := tieredRunStart(segs, defaultGrowthFactor); got != c.want {
-			t.Errorf("tieredRunStart(%v) = %d, want %d", c.sizes, got, c.want)
-		}
-	}
-}
-
-// TestAsyncFreezeMatchesInline checks the freeze-mode equivalence claim:
-// the same insert/delete stream served with AsyncFreeze returns exactly
-// the results of the inline-freeze index, and Flush leaves no pending
-// detached memtables behind.
-func TestAsyncFreezeMatchesInline(t *testing.T) {
-	pts := workload.SpherePoints(xrand.New(71), 800, testDim)
-	build := func(async bool) *DynamicIndex[[]float64] {
-		dx := NewDynamic[[]float64](xrand.New(72), dynamicFamily(), 12, pts[:200],
-			DynamicOptions{MemtableThreshold: 64, AsyncFreeze: async})
-		for _, p := range pts[200:] {
-			dx.Insert(p)
-		}
-		for id := 0; id < 800; id += 9 {
-			dx.Delete(id)
-		}
-		return dx
-	}
-	inline, async := build(false), build(true)
-	async.Flush()
-	if got := async.PendingFreezes(); got != 0 {
-		t.Fatalf("Flush left %d pending freezes", got)
-	}
-	if inline.Len() != async.Len() {
-		t.Fatalf("live counts differ: %d vs %d", inline.Len(), async.Len())
-	}
-	queries := workload.SpherePoints(xrand.New(73), 24, testDim)
-	for i, q := range queries {
-		if got, want := async.CollectDistinct(q, 0), inline.CollectDistinct(q, 0); !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %d: async results %v != inline %v", i, got, want)
-		}
-	}
-	async.Compact()
-	inline.Compact()
-	for i, q := range queries {
-		if got, want := async.CollectDistinct(q, 0), inline.CollectDistinct(q, 0); !reflect.DeepEqual(got, want) {
-			t.Fatalf("post-compact query %d: async results differ", i)
-		}
-	}
+	check("pre-compact")
+	dx.Compact()
+	check("post-compact")
 }
 
 // TestDynamicConcurrentQueryAsyncFreeze hammers queries (collect, annulus
-// and range veneers) while inserts constantly detach memtables and the
-// freezer installs segments in the background. Run under -race (CI does)
-// this is the race-freedom check of the asynchronous freeze path; the
-// assertions are the interleaving-independent invariants: ids in range,
-// no duplicates within one result, deleted ids never reported.
+// and range veneers) while inserts constantly freeze memtables, at the
+// threshold and through Snapshots. Run under -race (CI does) this is the
+// race-freedom check of the freeze paths; the assertions are the
+// interleaving-independent invariants: ids in range and no duplicates
+// within one result.
 func TestDynamicConcurrentQueryAsyncFreeze(t *testing.T) {
 	pts := workload.SpherePoints(xrand.New(81), 3000, testDim)
 	dx := NewDynamic[[]float64](xrand.New(82), dynamicFamily(), 10, pts[:200],
-		DynamicOptions{MemtableThreshold: 16, AsyncFreeze: true})
+		DynamicOptions{MemtableThreshold: 16})
 	within := withinSim(-1, 2)
 	ai := NewAnnulusOver(dx, within)
 	rr := NewRangeReporterOver(dx, within)
@@ -254,25 +205,28 @@ func TestDynamicConcurrentQueryAsyncFreeze(t *testing.T) {
 		}(w)
 	}
 
-	for _, p := range pts[200:] {
+	for i, p := range pts[200:] {
 		dx.Insert(p)
+		if i%7 == 0 {
+			dx.Snapshot().Release()
+		}
 	}
 	dx.Flush()
 	close(stop)
 	wg.Wait()
 	if got, want := dx.Len(), len(pts); got != want {
-		t.Fatalf("Len = %d after concurrent async freezes, want %d", got, want)
+		t.Fatalf("Len = %d after concurrent freezes, want %d", got, want)
 	}
 }
 
 // TestDynamicDeleteDuringTieredCompact runs concurrent deletes and
-// queries against a background compactor in tiered mode. Under -race this
-// checks the tiered swap discipline; the assertions check tombstones are
+// queries against a CompactAll background compactor. Under -race this
+// checks the merge swap discipline; the assertions check tombstones are
 // honored through any merge interleaving.
 func TestDynamicDeleteDuringTieredCompact(t *testing.T) {
 	pts := workload.SpherePoints(xrand.New(84), 2000, testDim)
 	dx := NewDynamic[[]float64](xrand.New(85), dynamicFamily(), 10, pts[:200],
-		DynamicOptions{MemtableThreshold: 32, MaxSegments: 3, BackgroundCompaction: true, Policy: CompactTiered, AsyncFreeze: true})
+		DynamicOptions{MemtableThreshold: 32, MaxSegments: 3, BackgroundCompaction: true})
 	defer dx.Close()
 
 	queries := workload.SpherePoints(xrand.New(86), 8, testDim)
@@ -324,7 +278,7 @@ func TestDynamicDeleteDuringTieredCompact(t *testing.T) {
 	for _, q := range queries {
 		for _, id := range dx.CollectDistinct(q, 0) {
 			if dx.Deleted(id) {
-				t.Fatalf("deleted id %d survived tiered compaction", id)
+				t.Fatalf("deleted id %d survived compaction", id)
 			}
 		}
 	}

@@ -119,6 +119,27 @@ func servingEqual(want, got *DynamicIndex[[]float64]) bool {
 	return true
 }
 
+// crashTrace runs the whole script (including Close) on a traced durable
+// index and returns how often it crossed each fault point.
+func crashTrace(t *testing.T, ops []crashOp, pts [][]float64) map[string]int {
+	t.Helper()
+	trace := durable.Trace()
+	dx, err := NewDurableDynamic[[]float64](t.TempDir(), crashSeed, dynamicFamily(), crashL, durable.Float64Codec{},
+		crashDynOpts(), durable.Options{Fsync: durable.FsyncAlways, Hooks: trace})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range ops {
+		applyCrashOp(dx, op, pts)
+	}
+	dx.Close()
+	counts := map[string]int{}
+	for _, p := range trace.Crossings() {
+		counts[p]++
+	}
+	return counts
+}
+
 // TestCrashMatrixRecovery is the fault-interleaving acceptance test: for
 // every fault point the workload actually crosses, at the first, a middle
 // and the last occurrence, kill the store at that exact syscall and prove
@@ -127,23 +148,12 @@ func TestCrashMatrixRecovery(t *testing.T) {
 	ops, pts := crashScript()
 
 	// Trace pass: enumerate the real fault surface of this workload
-	// (including Close) instead of guessing point names.
-	trace := durable.Trace()
-	{
-		dir := t.TempDir()
-		dx, err := NewDurableDynamic[[]float64](dir, crashSeed, dynamicFamily(), crashL, durable.Float64Codec{},
-			crashDynOpts(), durable.Options{Fsync: durable.FsyncAlways, Hooks: trace})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, op := range ops {
-			applyCrashOp(dx, op, pts)
-		}
-		dx.Close()
-	}
-	counts := map[string]int{}
-	for _, p := range trace.Crossings() {
-		counts[p]++
+	// instead of guessing point names. The cases below replay it by
+	// occurrence number, so the crossing counts must be a function of the
+	// op sequence alone: a second pass must reproduce them exactly.
+	counts := crashTrace(t, ops, pts)
+	if again := crashTrace(t, ops, pts); !reflect.DeepEqual(counts, again) {
+		t.Fatalf("fault-point crossings differ between identical runs: %v vs %v", counts, again)
 	}
 	if len(counts) < 8 {
 		t.Fatalf("workload crossed only %d fault points (%v); fixture too shallow", len(counts), counts)

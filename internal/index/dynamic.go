@@ -25,38 +25,17 @@ type DynamicOptions struct {
 	// their count exceeds MaxSegments after a freeze. Call Close to stop
 	// it. Queries remain race-free during background merges: a merge
 	// builds against an immutable snapshot and swaps it in under the
-	// structural lock, and all structural rewrites are serialized.
+	// structural lock, and all merges are serialized.
 	BackgroundCompaction bool
-	// Policy selects how automatic (background) compaction merges
-	// segments: CompactAll folds everything into one segment,
-	// CompactTiered merges only a contiguous run of the newest
-	// similar-sized segments so large old segments are rewritten rarely,
-	// and CompactLeveled additionally garbage-collects tombstones in its
-	// bottom-level merges — dead ids are dropped permanently, survivors
-	// are renumbered through a dense shrinking id space, and the tombstone
-	// bitmap is compacted (see CompactLeveled for the id-stability
-	// caveat). Explicit Compact calls merge everything regardless of
-	// policy (performing the GC under CompactLeveled).
+	// Policy selects how merges treat tombstones: CompactAll folds
+	// everything into one segment and keeps ids stable, CompactLeveled
+	// folds fresh segments into an upper tier and garbage-collects
+	// tombstones in its bottom-level merges — dead ids are dropped
+	// permanently, survivors are renumbered through a dense shrinking id
+	// space, and the tombstone bitmap is compacted (see CompactLeveled for
+	// the id-stability caveat). Explicit Compact calls merge everything
+	// regardless of policy (performing the GC under CompactLeveled).
 	Policy CompactionPolicy
-	// GrowthFactor is the size ratio steering the tiered and leveled
-	// policies: a tiered run excludes older segments more than
-	// GrowthFactor times the accumulated newer data, and the leveled
-	// policy triggers its bottom-level GC merge when the upper tier (or
-	// the dead-row count) reaches 1/GrowthFactor of the bottom segment
-	// (respectively the live count). <= -1 panics at construction; 0 means
-	// the default of 4.
-	GrowthFactor int
-	// AsyncFreeze makes the Insert that crosses MemtableThreshold detach
-	// the full memtable and keep serving it read-only while the L flat
-	// tables build off the structural lock (the same snapshot-validated
-	// swap discipline as compaction), flattening the insert tail latency.
-	// When false (the default), the crossing Insert builds the segment
-	// inline while holding the lock — deterministic, but an LSM write
-	// stall bounded by MemtableThreshold.
-	//
-	// Query results are identical either way: a detached memtable serves
-	// the same ids in the same order as the segment it becomes.
-	AsyncFreeze bool
 }
 
 func (o DynamicOptions) withDefaults() DynamicOptions {
@@ -66,42 +45,34 @@ func (o DynamicOptions) withDefaults() DynamicOptions {
 	if o.MaxSegments <= 0 {
 		o.MaxSegments = 8
 	}
-	if o.GrowthFactor < 0 {
-		panic("index: compaction growth factor must be positive")
-	}
-	if o.GrowthFactor == 0 {
-		o.GrowthFactor = defaultGrowthFactor
-	}
 	return o
 }
 
 // DynamicIndex is the mutable, LSM-style backend of the candidateSource
 // core: a small map-layout memtable absorbs fresh inserts, immutable
-// flat-table segments hold frozen points, detached read-only memtables
-// bridge the two while asynchronous freezes build their tables off-lock,
-// and a tombstone bitmap records deletes, consulted during candidate
-// iteration. The L repetition draws (h_i, g_i) are sampled once at
-// construction and shared by every layer, so a query hashes once per
-// repetition and probes every layer with the same key — the
-// collision-probability semantics of the family are exactly those of a
-// static Index over the live points.
+// flat-table segments hold frozen points, and a tombstone bitmap records
+// deletes, consulted during candidate iteration. The L repetition draws
+// (h_i, g_i) are sampled once at construction and shared by every layer,
+// so a query hashes once per repetition and probes every layer with the
+// same key — the collision-probability semantics of the family are
+// exactly those of a static Index over the live points.
 //
 // Every point keeps a stable global id, assigned by Insert in increasing
 // order (the initial points get ids 0..len-1) and preserved across freezes
 // and merges. Layers are kept in ascending global-id order (segments
-// oldest first, then detached memtables oldest first, then the live
-// memtable), so the per-repetition candidate stream walks live points in
-// exactly the order a static Index over them would. Compact folds all
-// frozen state back into a single flat segment, dropping tombstoned
-// points from the tables; ids are never reused.
+// oldest first, then the live memtable), so the per-repetition candidate
+// stream walks live points in exactly the order a static Index over them
+// would. Compact folds all frozen state back into a single flat segment,
+// dropping tombstoned points from the tables; ids are never reused.
 //
 // All methods are safe for concurrent use. Locking discipline: mu (the
 // structural RWMutex) guards the layer lists, the points array, and the
 // tombstone bitmap — queries hold it shared for their whole read window,
-// mutators hold it exclusively and briefly. mergeMu serializes structural
-// rewrites (async-freeze installs and compaction merges); it is always
+// mutators hold it exclusively and briefly. Every memtable freeze builds
+// its segment in place under mu, so its cost is bounded by
+// MemtableThreshold. mergeMu serializes compaction merges; it is always
 // acquired before mu and never held while blocking on queries, so the
-// expensive table builds run with neither queries nor inserts stalled.
+// expensive merge builds run with neither queries nor inserts stalled.
 // Steady-state queries through a Querier perform no heap allocations
 // once the memtable has been compacted away.
 type DynamicIndex[P any] struct {
@@ -118,15 +89,7 @@ type DynamicIndex[P any] struct {
 	// holding mu.
 	points   []P
 	segments []*segment
-	// frozen holds detached, read-only memtables awaiting their
-	// asynchronous flat-table build, oldest first. Only Insert, Flush and
-	// Compact append; only the freezer and Compact (both serialized by
-	// mergeMu) pop from the front.
-	frozen []*memtable
-	// freezerBusy records that a freezer goroutine is draining frozen;
-	// Insert spawns one only when it is clear.
-	freezerBusy bool
-	mem         *memtable
+	mem      *memtable
 	// dead is the tombstone bitmap over global ids. Bits are set by
 	// Delete and never cleared in place: after a merge drops a point from
 	// the tables its bit is simply never consulted again, and keeping it
@@ -158,7 +121,7 @@ type DynamicIndex[P any] struct {
 	// exclusively. Standalone indexes leave it nil.
 	barrier *sync.RWMutex
 
-	// mergeMu serializes structural rewrites; see the type comment.
+	// mergeMu serializes compaction merges; see the type comment.
 	mergeMu sync.Mutex
 
 	// keyBufs pools the per-insert data-side key scratch ([]uint64 of
@@ -297,30 +260,16 @@ func (dx *DynamicIndex[P]) MemtableLen() int {
 	return dx.mem.len()
 }
 
-// PendingFreezes returns the number of detached read-only memtables whose
-// flat-table builds have not been installed yet. Detaches come from
-// AsyncFreeze inserts, from Snapshot (which freezes the live memtable
-// read-only so the snapshot can share it), and transiently from Compact;
-// Flush returns only after draining every freeze that was pending when it
-// was called (concurrent Inserts may detach new ones at any time).
-func (dx *DynamicIndex[P]) PendingFreezes() int {
-	dx.mu.RLock()
-	defer dx.mu.RUnlock()
-	return len(dx.frozen)
-}
-
 // Insert adds a point and returns its stable global id. The point lands in
 // the memtable; when the buffer reaches MemtableThreshold it is frozen
 // into a new immutable segment (and the background compactor, if enabled,
 // is nudged once the segment count exceeds MaxSegments).
 //
 // The L hash evaluations run before the structural lock is taken, so
-// concurrent queries are blocked only for the map inserts themselves. With
-// AsyncFreeze the crossing Insert merely detaches the full memtable (the
-// flat tables build off-lock while the detached buffer keeps serving
-// reads); without it, the crossing Insert builds the segment inline while
-// holding the lock — size MemtableThreshold to bound that stall, or call
-// Flush at quiet moments to schedule it explicitly.
+// concurrent queries are blocked only for the map inserts themselves. The
+// crossing Insert builds the segment inline while holding the lock — size
+// MemtableThreshold to bound that stall, or call Flush at quiet moments to
+// schedule it explicitly.
 func (dx *DynamicIndex[P]) Insert(p P) int {
 	kb := dx.keyBufs.Get().(*[]uint64)
 	keys := *kb
@@ -359,20 +308,10 @@ func (dx *DynamicIndex[P]) insertLocked(p P, keys []uint64) (int32, bool) {
 	dx.mem.insert(id, keys)
 	dx.live++
 	dx.epoch++
-	needMerge := false
 	if dx.mem.len() >= dx.opts.MemtableThreshold {
-		// With detached memtables pending (AsyncFreeze, or a Snapshot
-		// detach on an inline-freeze index) the memtable must go through
-		// the same FIFO, not straight into segments: installs happen in
-		// detach order, preserving the ascending-global-id layer invariant.
-		if dx.opts.AsyncFreeze || len(dx.frozen) > 0 {
-			dx.detachMemLocked()
-		} else {
-			dx.freezeLocked()
-			needMerge = dx.compactCh != nil && len(dx.segments) > dx.opts.MaxSegments
-		}
+		return id, dx.freezeLocked(false)
 	}
-	return id, needMerge
+	return id, false
 }
 
 // InsertKeyed upserts a point under an external key and returns the global
@@ -491,9 +430,6 @@ func (dx *DynamicIndex[P]) GCStats() GCStats {
 	dx.mu.RLock()
 	defer dx.mu.RUnlock()
 	rows := dx.mem.len()
-	for _, fm := range dx.frozen {
-		rows += fm.len()
-	}
 	for _, s := range dx.segments {
 		rows += s.len()
 	}
@@ -519,20 +455,29 @@ func (dx *DynamicIndex[P]) Epoch() uint64 {
 	return dx.epoch
 }
 
-// freezeLocked turns a non-empty memtable into a new frozen segment
-// inline. Callers hold mu exclusively.
-func (dx *DynamicIndex[P]) freezeLocked() {
-	if dx.mem.len() == 0 {
-		return
-	}
+// freezeLocked turns a non-empty memtable into a new segment in place and
+// reports whether the caller should nudge the background compactor after
+// unlocking. bySnapshot marks the freezes a Snapshot forces, counted in
+// dsh_freezes_async_total; every other freeze counts as inline. Callers
+// hold mu exclusively.
+func (dx *DynamicIndex[P]) freezeLocked(bySnapshot bool) bool {
 	rows := dx.mem.len()
+	if rows == 0 {
+		return false
+	}
 	start := time.Now()
 	dx.segments = append(dx.segments, dx.mem.freeze())
 	mFreezeBuild.Observe(dx.stripe, uint64(time.Since(start)))
-	mFreezesInline.Inc(dx.stripe)
 	mFrozenRows.Add(dx.stripe, uint64(rows))
-	obs.RecordEvent("freeze.inline", int64(rows), int64(len(dx.segments)))
+	if bySnapshot {
+		mFreezesSnapshot.Inc(dx.stripe)
+		obs.RecordEvent("freeze.snapshot", int64(rows), int64(len(dx.segments)))
+	} else {
+		mFreezesInline.Inc(dx.stripe)
+		obs.RecordEvent("freeze.inline", int64(rows), int64(len(dx.segments)))
+	}
 	dx.freshMemtableLocked()
+	return dx.compactCh != nil && len(dx.segments) > dx.opts.MaxSegments
 }
 
 // freshMemtableLocked replaces the live memtable with an empty one; on a
@@ -547,117 +492,16 @@ func (dx *DynamicIndex[P]) freshMemtableLocked() {
 	}
 }
 
-// detachMemLocked moves a non-empty memtable onto the frozen FIFO and
-// spawns a freezer to build its flat tables off-lock if none is running.
-// Callers hold mu exclusively.
-func (dx *DynamicIndex[P]) detachMemLocked() {
-	if dx.mem.len() == 0 {
-		return
-	}
-	mFreezesAsync.Inc(dx.stripe)
-	obs.RecordEvent("freeze.async", int64(dx.mem.len()), int64(len(dx.frozen)+1))
-	dx.frozen = append(dx.frozen, dx.mem)
-	dx.freshMemtableLocked()
-	if !dx.freezerBusy {
-		dx.freezerBusy = true
-		go dx.freezer()
-	}
-}
-
-// freezer drains the frozen FIFO: build the oldest detached memtable's
-// flat tables with neither lock held for the build, then install the
-// segment under mu. Holding mergeMu from the head-read through the
-// install keeps rewrites serialized, so installs happen in detach order
-// and the ascending-global-id layer invariant is preserved. The goroutine
-// exits when the FIFO drains; Insert spawns a fresh one on the next
-// detach.
-func (dx *DynamicIndex[P]) freezer() {
-	for {
-		dx.mergeMu.Lock()
-		dx.mu.Lock()
-		if len(dx.frozen) == 0 {
-			dx.freezerBusy = false
-			dx.mu.Unlock()
-			dx.mergeMu.Unlock()
-			return
-		}
-		fm := dx.frozen[0]
-		dx.mu.Unlock()
-
-		start := time.Now()
-		seg := fm.freeze() // the L flat-table builds: off-lock, no rehashing
-		mFreezeBuild.Observe(dx.stripe, uint64(time.Since(start)))
-		mFreezeInstalls.Inc(dx.stripe)
-		mFrozenRows.Add(dx.stripe, uint64(fm.len()))
-
-		dx.mu.Lock()
-		dx.frozen = dx.frozen[1:]
-		dx.segments = append(dx.segments, seg)
-		needMerge := dx.compactCh != nil && len(dx.segments) > dx.opts.MaxSegments
-		dx.mu.Unlock()
-		dx.mergeMu.Unlock()
-		if needMerge {
-			dx.nudgeCompactor()
-		}
-	}
-}
-
-// drainFrozen synchronously converts every detached memtable into an
-// installed segment, cooperating with any running freezer through the
-// same mergeMu-serialized pop-and-install discipline.
-func (dx *DynamicIndex[P]) drainFrozen() {
-	needMerge := false
-	for {
-		dx.mergeMu.Lock()
-		dx.mu.RLock()
-		var fm *memtable
-		if len(dx.frozen) > 0 {
-			fm = dx.frozen[0]
-		}
-		dx.mu.RUnlock()
-		if fm == nil {
-			dx.mergeMu.Unlock()
-			break
-		}
-		start := time.Now()
-		seg := fm.freeze()
-		mFreezeBuild.Observe(dx.stripe, uint64(time.Since(start)))
-		mFreezeInstalls.Inc(dx.stripe)
-		mFrozenRows.Add(dx.stripe, uint64(fm.len()))
-		dx.mu.Lock()
-		dx.frozen = dx.frozen[1:]
-		dx.segments = append(dx.segments, seg)
-		needMerge = dx.compactCh != nil && len(dx.segments) > dx.opts.MaxSegments
-		dx.mu.Unlock()
-		dx.mergeMu.Unlock()
-	}
+// Flush freezes the memtable into a segment immediately, regardless of
+// the threshold. Useful before read-heavy phases: frozen probes are
+// cheaper than map probes.
+func (dx *DynamicIndex[P]) Flush() {
+	dx.mu.Lock()
+	needMerge := dx.freezeLocked(false)
+	dx.mu.Unlock()
 	if needMerge {
 		dx.nudgeCompactor()
 	}
-}
-
-// Flush freezes the memtable into a segment immediately, regardless of
-// the threshold, and waits for every pending asynchronous freeze to be
-// installed. Useful before read-heavy phases: frozen probes are cheaper
-// than map probes.
-func (dx *DynamicIndex[P]) Flush() {
-	dx.mu.Lock()
-	// Any pending detached memtables (async freezes, or Snapshot detaches
-	// on an inline-freeze index) must install before the live memtable, so
-	// route through the FIFO whenever one exists.
-	if dx.opts.AsyncFreeze || len(dx.frozen) > 0 {
-		if dx.mem.len() > 0 {
-			mFreezesAsync.Inc(dx.stripe)
-			obs.RecordEvent("freeze.async", int64(dx.mem.len()), int64(len(dx.frozen)+1))
-			dx.frozen = append(dx.frozen, dx.mem)
-			dx.freshMemtableLocked()
-		}
-		dx.mu.Unlock()
-		dx.drainFrozen()
-		return
-	}
-	dx.freezeLocked()
-	dx.mu.Unlock()
 }
 
 // nudgeCompactor pokes the background compactor without blocking.
@@ -689,14 +533,6 @@ func (dx *DynamicIndex[P]) appendCandidates(rep int, key uint64, dst []int32) ([
 		probes++
 		for _, local := range seg.lookup(rep, key) {
 			if id := seg.globalIDs[local]; !dx.dead.Get(int(id)) {
-				dst = append(dst, id)
-			}
-		}
-	}
-	for _, fm := range dx.frozen {
-		probes++
-		for j := fm.bucketHead(rep, key); j >= 0; j = fm.chains[rep][j] {
-			if id := fm.ids[j]; !dx.dead.Get(int(id)) {
 				dst = append(dst, id)
 			}
 		}
@@ -737,24 +573,19 @@ func (dx *DynamicIndex[P]) autoCompact() {
 		if !over {
 			return
 		}
-		switch dx.opts.Policy {
-		case CompactTiered:
-			if !dx.compactTieredStep() {
-				return
-			}
-		case CompactLeveled:
+		if dx.opts.Policy == CompactLeveled {
 			if !dx.compactLeveledStep() {
 				return
 			}
-		default:
+		} else {
 			dx.Compact()
 		}
 	}
 }
 
 // Close stops the background compactor, if one was started, and — for a
-// durable index — seals the on-disk state: every pending freeze is
-// drained, a final checkpoint (segments + manifest) is written, and the
+// durable index — seals the on-disk state: the memtable is frozen, a
+// final checkpoint (segments + manifest) is written, and the
 // WAL is synced and closed. After a clean Close, OpenDynamic recovers
 // the exact live set without replaying any log tail.
 //

@@ -16,8 +16,7 @@
 //   - DynamicIndex (dynamic.go, memtable.go, segment.go, compact.go): the
 //     mutable, LSM-style backend for churning workloads — a map-layout
 //     memtable absorbs inserts, immutable flat-table segments hold frozen
-//     points, a tombstone bitmap records deletes, freezes run
-//     asynchronously off the structural lock, and compaction merges
+//     points, a tombstone bitmap records deletes, and compaction merges
 //     retained key columns without re-evaluating any hash function.
 //   - ShardedIndex (shard.go): K independent DynamicIndex shards sharing
 //     one set of repetition draws, partitioned by global id, so
@@ -155,10 +154,9 @@ func (ix *Index[P]) appendCandidates(rep int, key uint64, dst []int32) ([]int32,
 type QueryStats struct {
 	// Probes is the number of hash-table bucket lookups performed: one per
 	// repetition per storage layer probed. A static Index probes one table
-	// per repetition; a DynamicIndex probes every segment, every detached
-	// read-only memtable, and the live memtable (empty layers are
-	// skipped), so Probes surfaces the layering cost that compaction
-	// removes.
+	// per repetition; a DynamicIndex probes every segment and the live
+	// memtable (an empty memtable is skipped), so Probes surfaces the
+	// layering cost that compaction removes.
 	Probes int
 	// Candidates is the total number of live candidate ids scanned,
 	// counting duplicates across repetitions. Tombstoned (deleted) ids are

@@ -339,7 +339,7 @@ func TestLeveledGCBoundsDeadRows(t *testing.T) {
 			}
 			// The step trigger fires at dead*growth >= live+1, so the
 			// steady-state garbage ratio stays within ~1/growth of live.
-			if growth := dx.opts.GrowthFactor; st.DeadRows*growth > st.LiveRows+1+st.DeadRows {
+			if st.DeadRows*growthFactor > st.LiveRows+1+st.DeadRows {
 				t.Fatalf("op %d: leveled steps left %d dead rows against %d live", op, st.DeadRows, st.LiveRows)
 			}
 		}
@@ -461,8 +461,8 @@ func TestLeveledSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestKeyedGuardMessages locks in the constructor- and misuse-panic
-// messages of the keyed write path and the leveled policy.
+// TestKeyedGuardMessages locks in the misuse-panic messages of the keyed
+// write path.
 func TestKeyedGuardMessages(t *testing.T) {
 	fam := dynamicFamily()
 	p := workload.SpherePoints(xrand.New(51), 1, testDim)[0]
@@ -481,13 +481,4 @@ func TestKeyedGuardMessages(t *testing.T) {
 		func() { rr.InsertKeyed(1, p) })
 	rr.Insert(p)
 	rr.Close()
-
-	mustPanicMessage(t, "index: compaction growth factor must be positive", func() {
-		NewDynamic[[]float64](xrand.New(54), fam, 4, nil,
-			DynamicOptions{Policy: CompactLeveled, GrowthFactor: -1})
-	})
-	mustPanicMessage(t, "index: compaction growth factor must be positive", func() {
-		NewSharded[[]float64](xrand.New(55), fam, 4, nil,
-			ShardOptions{Shards: 2, Dynamic: DynamicOptions{GrowthFactor: -2}})
-	})
 }

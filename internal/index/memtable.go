@@ -17,9 +17,7 @@ import "dsh/internal/durable"
 // buildFlatTable pass with no rehashing of the points.
 //
 // A memtable is not safe for concurrent mutation; the DynamicIndex guards
-// it with its structural lock. Once detached by an asynchronous freeze it
-// is never mutated again, so it can serve lock-protected reads while its
-// flat tables build off-lock.
+// it with its structural lock, and freezes it in place under that lock.
 
 // bucket is one repetition-key bucket: the first and last row index (into
 // the memtable's column order) buffered under the key. Successors are
@@ -40,9 +38,9 @@ type memtable struct {
 	// keys[i][j] is h_i of the j-th buffered point (same order as ids).
 	keys [][]uint64
 	// walStart is the log position of the memtable's first buffered row
-	// (for a durable index). The oldest un-persisted memtable's walStart
-	// is the manifest watermark: replay of the buffered WAL region starts
-	// there. Zero for non-durable indexes.
+	// (for a durable index). The live memtable's walStart is the manifest
+	// watermark: replay of the buffered WAL region starts there. Zero for
+	// non-durable indexes.
 	walStart durable.Pos
 }
 
@@ -97,8 +95,7 @@ func (mt *memtable) insert(id int32, keys []uint64) {
 //	}
 //
 // The walk yields rows in insertion order and is valid only while the
-// caller holds the index's structural lock (or the memtable is detached
-// and immutable).
+// caller holds the index's structural lock.
 func (mt *memtable) bucketHead(rep int, key uint64) int32 {
 	if b, ok := mt.tables[rep][key]; ok {
 		return b.head
@@ -106,42 +103,19 @@ func (mt *memtable) bucketHead(rep int, key uint64) int32 {
 	return -1
 }
 
-// remapped returns a copy of the memtable with every buffered id shifted
-// by delta, sharing the (content-identical) key columns with the
-// original. The leveled GC uses it to renumber the layers that
-// accumulated while the bottom-level merge built: copies keep pinned
-// snapshots — which still reference the original memtable under the old
-// id space — consistent. The original must not be mutated afterwards; the
-// copy may (it gets private bucket maps and chain columns, and the shared
-// key columns are append-only — the original never reads past its own
-// length).
-func (mt *memtable) remapped(delta int32) *memtable {
-	out := &memtable{
-		tables:   make([]map[uint64]bucket, len(mt.tables)),
-		chains:   make([][]int32, len(mt.chains)),
-		ids:      make([]int32, len(mt.ids)),
-		keys:     mt.keys,
-		walStart: mt.walStart,
+// shiftIDs adds delta to every buffered id in place. The leveled GC uses
+// it to renumber the live memtable, which no snapshot ever pins; buckets
+// and chains index rows, not ids, so they stay valid.
+func (mt *memtable) shiftIDs(delta int32) {
+	for j := range mt.ids {
+		mt.ids[j] += delta
 	}
-	for j, id := range mt.ids {
-		out.ids[j] = id + delta
-	}
-	for i, tbl := range mt.tables {
-		nt := make(map[uint64]bucket, len(tbl))
-		for k, b := range tbl {
-			nt[k] = b
-		}
-		out.tables[i] = nt
-		out.chains[i] = append([]int32(nil), mt.chains[i]...)
-	}
-	return out
 }
 
 // freeze converts the buffered points into an immutable segment using the
 // retained key columns (no rehashing); the columns are handed to the
 // segment so later merges stay rehash-free too. The memtable must not be
-// mutated afterwards; the caller replaces it with a fresh one (a detached
-// memtable may keep serving reads until the segment is installed).
+// used afterwards; the caller replaces it with a fresh one.
 func (mt *memtable) freeze() *segment {
 	seg := &segment{
 		tables:    make([]flatTable, len(mt.tables)),

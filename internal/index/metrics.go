@@ -47,11 +47,9 @@ var (
 	mWriteHashEvals = obs.NewCounter("dsh_write_hash_evals_total",
 		"data-side hash evaluations h_i(x) (L per insert/upsert)")
 	mFreezesInline = obs.NewCounter("dsh_freezes_inline_total",
-		"memtable freezes built inline under the structural lock")
-	mFreezesAsync = obs.NewCounter("dsh_freezes_async_total",
-		"memtable detaches onto the async freeze FIFO (AsyncFreeze inserts, snapshots, Flush)")
-	mFreezeInstalls = obs.NewCounter("dsh_freeze_installs_total",
-		"detached memtables whose flat tables were built off-lock and installed as segments")
+		"memtable freezes at the threshold, Flush and Compact, built in place under the structural lock")
+	mFreezesSnapshot = obs.NewCounter("dsh_freezes_async_total",
+		"memtable freezes a Snapshot forces, built in place under the structural lock")
 	mFrozenRows = obs.NewCounter("dsh_frozen_rows_total",
 		"rows frozen from memtables into segments")
 	mFreezeBuild = obs.NewHistogram("dsh_freeze_build_ns",
@@ -60,8 +58,6 @@ var (
 	// Compaction and GC.
 	mCompactAll = obs.NewCounter("dsh_compactions_all_total",
 		"monolithic merges (explicit Compact and the CompactAll policy)")
-	mCompactTiered = obs.NewCounter("dsh_compactions_tiered_total",
-		"size-tiered merges of the newest similar-sized run")
 	mCompactUpper = obs.NewCounter("dsh_compactions_upper_total",
 		"leveled upper-tier folds (id-preserving)")
 	mCompactGC = obs.NewCounter("dsh_compactions_gc_total",

@@ -411,18 +411,14 @@ func (st *store[P]) persist(dx *DynamicIndex[P]) error {
 		}
 		old := st.wal
 		st.wal = nw
-		wm := dx.mem.walStart
-		if len(dx.frozen) > 0 {
-			wm = dx.frozen[0].walStart
-		} else if dx.mem.len() == 0 {
+		if dx.mem.len() == 0 {
 			// Nothing buffered at all: advance the watermark into the new
 			// log so the whole old chain can retire.
 			dx.mem.walStart = nw.End()
-			wm = dx.mem.walStart
 		}
 		m := &durable.Manifest{
 			Seq:         newSeq,
-			Watermark:   wm,
+			Watermark:   dx.mem.walStart,
 			NextSeg:     st.nextSeg,
 			Seed:        st.seed,
 			L:           uint32(len(dx.pairs)),
@@ -463,8 +459,8 @@ func (st *store[P]) persist(dx *DynamicIndex[P]) error {
 	}
 }
 
-// seal is Close's durable shutdown: drain every pending freeze, write a
-// final checkpoint, and stop journaling. Idempotent; errors latch in the
+// seal is Close's durable shutdown: freeze the memtable, write a final
+// checkpoint, and stop journaling. Idempotent; errors latch in the
 // Env and surface through DurableErr.
 func (st *store[P]) seal(dx *DynamicIndex[P]) {
 	st.sealOnce.Do(func() {
@@ -732,7 +728,7 @@ func (dx *DynamicIndex[P]) recoverFrom(env *durable.Env, codec durable.PointCode
 		}
 		dx.mem.insert(r.id, r.keys)
 		if dx.mem.len() >= dx.opts.MemtableThreshold {
-			dx.freezeLocked()
+			dx.freezeLocked(false)
 		}
 	}
 
@@ -799,7 +795,7 @@ func (dx *DynamicIndex[P]) replayRow(id int32, p P, keys []uint64, pos durable.P
 	dx.live++
 	dx.epoch++
 	if dx.mem.len() >= dx.opts.MemtableThreshold {
-		dx.freezeLocked()
+		dx.freezeLocked(false)
 	}
 	return nil
 }
@@ -863,10 +859,7 @@ func (dx *DynamicIndex[P]) replayGCRemap(snapBound int, delta int32, dropped []i
 		}
 		drop.Set(int(id))
 	}
-	srcs := make([]colSource, 0, len(dx.segments)+1)
-	for _, s := range dx.segments {
-		srcs = append(srcs, colSource{ids: s.globalIDs, keys: s.keys})
-	}
+	srcs := colSources(dx.segments)
 	if dx.mem.len() > 0 {
 		srcs = append(srcs, colSource{ids: dx.mem.ids, keys: dx.mem.keys})
 	}
@@ -902,7 +895,6 @@ func (dx *DynamicIndex[P]) replayGCRemap(snapBound int, delta int32, dropped []i
 	} else {
 		dx.segments = nil
 	}
-	dx.frozen = nil
 	dx.mem = newMemtable(len(dx.pairs), dx.opts.MemtableThreshold) // walStart stamped by the next replayed row
 	dx.points = newPoints
 

@@ -43,15 +43,15 @@ type ShardOptions struct {
 	// two are mutually exclusive per index — see the Routing constants.
 	Routing Routing
 	// Dynamic is applied to every shard: each gets its own memtable
-	// threshold, freeze mode, segment budget, compaction policy and — when
+	// threshold, segment budget, compaction policy and — when
 	// BackgroundCompaction is set — its own background compactor
 	// goroutine, so compactions of different shards run concurrently.
 	Dynamic DynamicOptions
 }
 
 // ShardedIndex is the multi-writer serving core: K independent
-// DynamicIndex shards, each with its own memtable, segment list, freezer
-// and compaction policy — and, crucially, its own locks — so mutations on
+// DynamicIndex shards, each with its own memtable, segment list and
+// compaction policy — and, crucially, its own locks — so mutations on
 // different shards never contend. Points are partitioned by global id:
 // id g lives on shard g mod K at shard-local position g div K. Under
 // RouteRoundRobin (the default) plain Inserts rotate across shards, which
@@ -326,8 +326,7 @@ func (sx *ShardedIndex[P]) Point(id int) P {
 	return sx.shards[id%K].Point(id / K)
 }
 
-// Flush freezes every shard's memtable and drains every pending
-// asynchronous freeze, shard by shard.
+// Flush freezes every shard's memtable, shard by shard.
 func (sx *ShardedIndex[P]) Flush() {
 	for _, dx := range sx.shards {
 		dx.Flush()
@@ -353,10 +352,9 @@ func (sx *ShardedIndex[P]) Compact() {
 // stopping its background compactor and, for a durable index, sealing its
 // on-disk state (final per-shard checkpoint; see DynamicIndex.Close).
 // After Close, Insert and Snapshot panic with a clear message; queries
-// and deletes over the existing data remain valid, pending asynchronous
-// freezes still install, and Compact remains callable — but on a durable
-// index, mutations after Close are in-memory only and latch
-// ErrNotJournaled in DurableErr. Close is idempotent and safe for
+// and deletes over the existing data remain valid, and Compact remains
+// callable — but on a durable index, mutations after Close are in-memory
+// only and latch ErrNotJournaled in DurableErr. Close is idempotent and safe for
 // concurrent use (concurrent calls seal each shard exactly once).
 func (sx *ShardedIndex[P]) Close() {
 	sx.closed.Store(true)

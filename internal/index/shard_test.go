@@ -267,7 +267,7 @@ func TestShardedConcurrentWriters(t *testing.T) {
 	pts := workload.SpherePoints(rng, 100+writers*perWriter, testDim)
 	sx := NewSharded(xrand.New(8), dynamicFamily(), 12, pts[:100],
 		ShardOptions{Shards: 4, Dynamic: DynamicOptions{
-			MemtableThreshold: 32, MaxSegments: 2, BackgroundCompaction: true, AsyncFreeze: true}})
+			MemtableThreshold: 32, MaxSegments: 2, BackgroundCompaction: true}})
 	defer sx.Close()
 
 	queries := workload.SpherePoints(rng, 16, testDim)

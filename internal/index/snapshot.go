@@ -7,28 +7,28 @@ import (
 )
 
 // Snapshot is an immutable, point-in-time view of a DynamicIndex: the
-// segment list, every detached read-only memtable, the points array
-// prefix, the live count, and a private clone of the tombstone bitmap as
-// they stood at the moment DynamicIndex.Snapshot returned. A snapshot
-// implements the candidateSource contract, so every veneer — annulus
-// search, range reporting, CollectDistinct, QueryBatch — runs over it
-// unchanged and answers from the pinned state even while Insert, Delete,
-// Flush and compaction rewrite the live index underneath. That makes
-// long-running scans consistent: a query stream over one snapshot
-// observes one id set, start to finish.
+// segment list, the points array prefix, the live count, and a private
+// clone of the tombstone bitmap as they stood at the moment
+// DynamicIndex.Snapshot returned. A snapshot implements the
+// candidateSource contract, so every veneer — annulus search, range
+// reporting, CollectDistinct, QueryBatch — runs over it unchanged and
+// answers from the pinned state even while Insert, Delete, Flush and
+// compaction rewrite the live index underneath. That makes long-running
+// scans consistent: a query stream over one snapshot observes one id set,
+// start to finish.
 //
-// Taking a snapshot is cheap: the live memtable (if non-empty) is
-// detached read-only onto the index's freeze FIFO — its flat tables build
-// in the background exactly as under AsyncFreeze — and the snapshot then
-// just pins slice headers plus a bitmap clone; no point is copied or
-// rehashed. The detach does mean every snapshot that finds buffered
-// inserts cuts a new (possibly tiny) segment, so a high snapshot cadence
-// over a trickle of writes fragments the index — each query pays one
-// extra probe per repetition per extra segment until a merge folds them;
-// enable BackgroundCompaction (or Compact at quiet moments) under such
-// workloads. Reclamation is by reference: segments swapped out by later
-// compactions stay reachable from the snapshots whose epoch pinned them
-// and are garbage-collected when the last such snapshot is released.
+// Taking a snapshot freezes the live memtable (if non-empty) into a
+// segment in place — one flat-table build from its retained keys, bounded
+// by MemtableThreshold — and then just pins slice headers plus a bitmap
+// clone; no point is copied or rehashed. The freeze does mean every
+// snapshot that finds buffered inserts cuts a new (possibly tiny) segment,
+// so a high snapshot cadence over a trickle of writes fragments the index
+// — each query pays one extra probe per repetition per extra segment
+// until a merge folds them; enable BackgroundCompaction (or Compact at
+// quiet moments) under such workloads. Reclamation is by reference:
+// segments swapped out by later compactions stay reachable from the
+// snapshots whose epoch pinned them and are garbage-collected when the
+// last such snapshot is released.
 //
 // Concurrency contract: a Snapshot is immutable and safe for unrestricted
 // concurrent querying with no locking at all — beginRead is free, like
@@ -41,10 +41,8 @@ type Snapshot[P any] struct {
 	// elements below idBound are immutable.
 	points  []P
 	idBound int
-	// segments and frozen are the pinned storage layers, oldest first;
-	// all are immutable after detach.
+	// segments are the pinned storage layers, oldest first.
 	segments []*segment
-	frozen   []*memtable
 	// dead is a private clone of the tombstone bitmap: later Deletes on
 	// the live index do not affect this snapshot.
 	dead bitvec.Bitmap
@@ -57,11 +55,9 @@ type Snapshot[P any] struct {
 }
 
 // Snapshot returns an immutable view of the index's current live points.
-// The call takes the structural lock exclusively but briefly: it detaches
-// the live memtable (if non-empty) onto the freeze FIFO — where it keeps
-// serving both the live index and the snapshot read-only while its flat
-// tables build in the background — clones the tombstone bitmap, and pins
-// the current layer lists. No points are copied or rehashed.
+// The call takes the structural lock exclusively: it freezes the live
+// memtable (if non-empty) into a segment in place, clones the tombstone
+// bitmap, and pins the segment list. No points are copied or rehashed.
 //
 // The returned snapshot answers queries from exactly the live set at the
 // moment of the call, concurrently with any later mutation or compaction
@@ -71,19 +67,19 @@ type Snapshot[P any] struct {
 // cadence).
 func (dx *DynamicIndex[P]) Snapshot() *Snapshot[P] {
 	dx.mu.Lock()
-	if dx.mem.len() > 0 {
-		dx.detachMemLocked()
-	}
+	needMerge := dx.freezeLocked(true)
 	snap := &Snapshot[P]{
 		points:   dx.points[:len(dx.points):len(dx.points)],
 		idBound:  len(dx.points),
 		segments: dx.segments[:len(dx.segments):len(dx.segments)],
-		frozen:   append([]*memtable(nil), dx.frozen...),
 		dead:     dx.dead.Clone(),
 		live:     dx.live,
 		epoch:    dx.epoch,
 	}
 	dx.mu.Unlock()
+	if needMerge {
+		dx.nudgeCompactor()
+	}
 	snap.bind(snap, dx.pairs, dx.negG)
 	mSnapshots.Inc(dx.stripe)
 	mSnapshotsOpen.Add(1)
@@ -128,7 +124,6 @@ func (s *Snapshot[P]) Release() {
 	mSnapshotsOpen.Add(-1)
 	s.points = nil
 	s.segments = nil
-	s.frozen = nil
 	s.dead = bitvec.Bitmap{}
 }
 
@@ -158,14 +153,6 @@ func (s *Snapshot[P]) appendCandidates(rep int, key uint64, dst []int32) ([]int3
 		probes++
 		for _, local := range seg.lookup(rep, key) {
 			if id := seg.globalIDs[local]; !s.dead.Get(int(id)) {
-				dst = append(dst, id)
-			}
-		}
-	}
-	for _, fm := range s.frozen {
-		probes++
-		for j := fm.bucketHead(rep, key); j >= 0; j = fm.chains[rep][j] {
-			if id := fm.ids[j]; !s.dead.Get(int(id)) {
 				dst = append(dst, id)
 			}
 		}

@@ -20,7 +20,7 @@ func TestSnapshotIsolationUnderConcurrentChurn(t *testing.T) {
 	dx := NewDynamic(xrand.New(22), dynamicFamily(), 12, pts[:300],
 		DynamicOptions{MemtableThreshold: 64})
 	for _, p := range pts[300:450] {
-		dx.Insert(p) // leave a non-empty memtable for Snapshot to detach
+		dx.Insert(p) // leave a non-empty memtable for Snapshot to freeze
 	}
 	for id := 0; id < 450; id += 9 {
 		dx.Delete(id)
@@ -230,12 +230,10 @@ func TestSnapshotSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSnapshotInlineFreezeLayerOrder pins the layer-ordering fix that
-// snapshots force on inline-freeze indexes: a Snapshot detaches the live
-// memtable onto the freeze FIFO, and until that install lands every
-// later freeze must go through the same FIFO — never straight into the
-// segment list — so candidate order stays the static order. The churn
-// below used to interleave a pending detach with inline freezes.
+// TestSnapshotInlineFreezeLayerOrder pins the layer order under mixed
+// freezes: Snapshots taken mid-stream freeze partial memtables between
+// threshold freezes, and the segments must still sit in ascending id
+// order so candidate order stays the static order.
 func TestSnapshotInlineFreezeLayerOrder(t *testing.T) {
 	fam := dynamicFamily()
 	const L = 12
@@ -247,7 +245,7 @@ func TestSnapshotInlineFreezeLayerOrder(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		dx.Insert(workload.SpherePoints(rng, 1, testDim)[0])
 		if i%13 == 0 {
-			snaps = append(snaps, dx.Snapshot()) // detach mid-stream
+			snaps = append(snaps, dx.Snapshot()) // freeze mid-stream
 		}
 	}
 	dx.Flush()
@@ -262,7 +260,7 @@ func TestSnapshotInlineFreezeLayerOrder(t *testing.T) {
 		want := static.CollectDistinct(q, 0)
 		got := dx.CollectDistinct(q, 0)
 		if (len(got) > 0 || len(want) > 0) && !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %d: candidate order diverged from static after snapshot detaches: %v != %v", qi, got, want)
+			t.Fatalf("query %d: candidate order diverged from static after snapshot freezes: %v != %v", qi, got, want)
 		}
 	}
 	for _, s := range snaps {

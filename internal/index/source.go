@@ -20,9 +20,8 @@ import (
 //
 //   - *Index: the frozen flat-table layout (one immutable table per
 //     repetition, ids 0..Len-1).
-//   - *DynamicIndex: the segmented LSM layout (frozen segments + detached
-//     read-only memtables + the live memtable, global ids, tombstones
-//     applied during iteration).
+//   - *DynamicIndex: the segmented LSM layout (frozen segments + the live
+//     memtable, global ids, tombstones applied during iteration).
 //   - *ShardedIndex: K DynamicIndex shards probed in shard order,
 //     shard-local ids translated to global ids during iteration.
 //   - *Snapshot / *ShardedSnapshot: pinned, immutable views of the

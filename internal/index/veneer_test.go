@@ -11,106 +11,103 @@ import (
 
 // TestDynamicVeneersMatchStaticRebuild is the serving-parity differential
 // test of the candidate-source refactor: after an arbitrary interleaving
-// of inserts, deletes, flushes and compactions (with and without
-// asynchronous freezing), the AnnulusIndex and RangeReporter veneers over
-// the DynamicIndex must return exactly what the same veneers return over
+// of inserts, deletes, flushes and compactions, the AnnulusIndex and
+// RangeReporter veneers over the DynamicIndex must return exactly what the same veneers return over
 // a static Index rebuilt from the survivors with the same rng stream —
 // same ids (mapped through the survivors' global ids), same work
 // counters, before and after compaction.
 func TestDynamicVeneersMatchStaticRebuild(t *testing.T) {
-	for _, async := range []bool{false, true} {
-		for seed := uint64(1); seed <= 4; seed++ {
-			fam := sphere.NewAnnulus(testDim, 0.5, 1.6)
-			const L = 18
-			within := withinSim(0.3, 0.7)
-			initial := workload.SpherePoints(xrand.New(seed*100), 120, testDim)
+	for seed := uint64(1); seed <= 4; seed++ {
+		fam := sphere.NewAnnulus(testDim, 0.5, 1.6)
+		const L = 18
+		within := withinSim(0.3, 0.7)
+		initial := workload.SpherePoints(xrand.New(seed*100), 120, testDim)
 
-			dx := NewDynamic[[]float64](xrand.New(seed), fam, L, initial,
-				DynamicOptions{MemtableThreshold: 40, AsyncFreeze: async})
-			survivors, ids := churnDynamic(t, xrand.New(seed*777), dx, 400)
+		dx := NewDynamic[[]float64](xrand.New(seed), fam, L, initial,
+			DynamicOptions{MemtableThreshold: 40})
+		survivors, ids := churnDynamic(t, xrand.New(seed*777), dx, 400)
 
-			// Static rebuild over the survivors with the same rng stream:
-			// NewAnnulus and NewDynamic both consume exactly L Sample
-			// calls, so the repetition draws coincide.
-			staticAI := NewAnnulus[[]float64](xrand.New(seed), fam, L, survivors, within)
-			staticRR := NewRangeReporter[[]float64](xrand.New(seed), fam, L, survivors, within)
-			dynAI := NewAnnulusOver(dx, within)
-			dynRR := NewRangeReporterOver(dx, within)
+		// Static rebuild over the survivors with the same rng stream:
+		// NewAnnulus and NewDynamic both consume exactly L Sample
+		// calls, so the repetition draws coincide.
+		staticAI := NewAnnulus[[]float64](xrand.New(seed), fam, L, survivors, within)
+		staticRR := NewRangeReporter[[]float64](xrand.New(seed), fam, L, survivors, within)
+		dynAI := NewAnnulusOver(dx, within)
+		dynRR := NewRangeReporterOver(dx, within)
 
-			toStatic := make(map[int]int, len(ids))
-			for pos, id := range ids {
-				toStatic[id] = pos
-			}
+		toStatic := make(map[int]int, len(ids))
+		for pos, id := range ids {
+			toStatic[id] = pos
+		}
 
-			queries := workload.SpherePoints(xrand.New(seed*999), 24, testDim)
-			queries = append(queries, survivors[:min(4, len(survivors))]...)
+		queries := workload.SpherePoints(xrand.New(seed*999), 24, testDim)
+		queries = append(queries, survivors[:min(4, len(survivors))]...)
 
-			check := func(label string, compacted bool) {
-				t.Helper()
-				for qi, q := range queries {
-					wantID, wantStats := staticAI.Query(q)
-					gotID, gotStats := dynAI.Query(q)
-					mapped := -1
-					if gotID >= 0 {
-						pos, ok := toStatic[gotID]
-						if !ok {
-							t.Fatalf("async=%v seed %d %s query %d: annulus hit %d is not a survivor", async, seed, label, qi, gotID)
-						}
-						mapped = pos
-					}
-					if mapped != wantID {
-						t.Fatalf("async=%v seed %d %s query %d: annulus id %d != static %d", async, seed, label, qi, mapped, wantID)
-					}
-					if gotStats.Candidates != wantStats.Candidates || gotStats.Verified != wantStats.Verified {
-						t.Fatalf("async=%v seed %d %s query %d: annulus stats %+v != static %+v", async, seed, label, qi, gotStats, wantStats)
-					}
-
-					wantIDs, wantRS := staticRR.Query(q)
-					gotIDs, gotRS := dynRR.Query(q)
-					mappedIDs := make([]int, len(gotIDs))
-					for i, id := range gotIDs {
-						pos, ok := toStatic[id]
-						if !ok {
-							t.Fatalf("async=%v seed %d %s query %d: reported id %d is not a survivor", async, seed, label, qi, id)
-						}
-						mappedIDs[i] = pos
-					}
-					if len(mappedIDs) != 0 || len(wantIDs) != 0 {
-						if !reflect.DeepEqual(mappedIDs, wantIDs) {
-							t.Fatalf("async=%v seed %d %s query %d: range ids %v != static %v", async, seed, label, qi, mappedIDs, wantIDs)
-						}
-					}
-					if gotRS.Candidates != wantRS.Candidates || gotRS.Distinct != wantRS.Distinct || gotRS.Verified != wantRS.Verified {
-						t.Fatalf("async=%v seed %d %s query %d: range stats %+v != static %+v", async, seed, label, qi, gotRS, wantRS)
-					}
-					if gotRS.Probes < wantRS.Probes {
-						t.Fatalf("async=%v seed %d %s query %d: dynamic probes %d below static %d", async, seed, label, qi, gotRS.Probes, wantRS.Probes)
-					}
-					if compacted && gotRS.Probes != wantRS.Probes {
-						t.Fatalf("async=%v seed %d %s query %d: post-compact probes %d != static %d", async, seed, label, qi, gotRS.Probes, wantRS.Probes)
-					}
-				}
-			}
-
-			check("pre-compact", false)
-			dx.Compact()
-			check("post-compact", true)
-
-			// The batch veneers over the dynamic backend must agree with
-			// their own sequential paths.
-			batchIDs, _, _ := dynAI.QueryBatch(queries, BatchOptions{Workers: 4})
-			rrBatch, _, _ := dynRR.QueryBatch(queries, BatchOptions{Workers: 4})
+		check := func(label string, compacted bool) {
+			t.Helper()
 			for qi, q := range queries {
-				if seqID, _ := dynAI.Query(q); batchIDs[qi] != seqID {
-					t.Fatalf("async=%v seed %d query %d: annulus batch id %d != sequential %d", async, seed, qi, batchIDs[qi], seqID)
+				wantID, wantStats := staticAI.Query(q)
+				gotID, gotStats := dynAI.Query(q)
+				mapped := -1
+				if gotID >= 0 {
+					pos, ok := toStatic[gotID]
+					if !ok {
+						t.Fatalf("seed %d %s query %d: annulus hit %d is not a survivor", seed, label, qi, gotID)
+					}
+					mapped = pos
 				}
-				seqIDs, _ := dynRR.Query(q)
-				if len(seqIDs) == 0 {
-					seqIDs = nil
+				if mapped != wantID {
+					t.Fatalf("seed %d %s query %d: annulus id %d != static %d", seed, label, qi, mapped, wantID)
 				}
-				if !reflect.DeepEqual(rrBatch[qi], seqIDs) {
-					t.Fatalf("async=%v seed %d query %d: range batch %v != sequential %v", async, seed, qi, rrBatch[qi], seqIDs)
+				if gotStats.Candidates != wantStats.Candidates || gotStats.Verified != wantStats.Verified {
+					t.Fatalf("seed %d %s query %d: annulus stats %+v != static %+v", seed, label, qi, gotStats, wantStats)
 				}
+
+				wantIDs, wantRS := staticRR.Query(q)
+				gotIDs, gotRS := dynRR.Query(q)
+				mappedIDs := make([]int, len(gotIDs))
+				for i, id := range gotIDs {
+					pos, ok := toStatic[id]
+					if !ok {
+						t.Fatalf("seed %d %s query %d: reported id %d is not a survivor", seed, label, qi, id)
+					}
+					mappedIDs[i] = pos
+				}
+				if len(mappedIDs) != 0 || len(wantIDs) != 0 {
+					if !reflect.DeepEqual(mappedIDs, wantIDs) {
+						t.Fatalf("seed %d %s query %d: range ids %v != static %v", seed, label, qi, mappedIDs, wantIDs)
+					}
+				}
+				if gotRS.Candidates != wantRS.Candidates || gotRS.Distinct != wantRS.Distinct || gotRS.Verified != wantRS.Verified {
+					t.Fatalf("seed %d %s query %d: range stats %+v != static %+v", seed, label, qi, gotRS, wantRS)
+				}
+				if gotRS.Probes < wantRS.Probes {
+					t.Fatalf("seed %d %s query %d: dynamic probes %d below static %d", seed, label, qi, gotRS.Probes, wantRS.Probes)
+				}
+				if compacted && gotRS.Probes != wantRS.Probes {
+					t.Fatalf("seed %d %s query %d: post-compact probes %d != static %d", seed, label, qi, gotRS.Probes, wantRS.Probes)
+				}
+			}
+		}
+
+		check("pre-compact", false)
+		dx.Compact()
+		check("post-compact", true)
+
+		// The batch veneers over the dynamic backend must agree with
+		// their own sequential paths.
+		batchIDs, _, _ := dynAI.QueryBatch(queries, BatchOptions{Workers: 4})
+		rrBatch, _, _ := dynRR.QueryBatch(queries, BatchOptions{Workers: 4})
+		for qi, q := range queries {
+			if seqID, _ := dynAI.Query(q); batchIDs[qi] != seqID {
+				t.Fatalf("seed %d query %d: annulus batch id %d != sequential %d", seed, qi, batchIDs[qi], seqID)
+			}
+			seqIDs, _ := dynRR.Query(q)
+			if len(seqIDs) == 0 {
+				seqIDs = nil
+			}
+			if !reflect.DeepEqual(rrBatch[qi], seqIDs) {
+				t.Fatalf("seed %d query %d: range batch %v != sequential %v", seed, qi, rrBatch[qi], seqIDs)
 			}
 		}
 	}

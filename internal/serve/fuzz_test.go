@@ -23,26 +23,35 @@ import (
 // producing a valid vector and exercising the accept paths too.
 const fuzzDim = 4
 
+// Decoder selectors of FuzzWireDecode: its which argument, taken mod 4,
+// picks the decoder.
+const (
+	decodeQuery byte = iota
+	decodeBatch
+	decodeInsert
+	decodeDelete
+)
+
 // FuzzWireDecode throws arbitrary bytes at every request decoder: the
 // only acceptable outcomes are a nil error or a wireError with a 4xx
 // status — never a panic, never a 5xx classification.
 func FuzzWireDecode(f *testing.F) {
-	f.Add(byte('q'), []byte(`{"vector":[1,2,3,4]}`))
-	f.Add(byte('q'), []byte(`{"vector":[1,2,3,4],"max":2}`))
-	f.Add(byte('q'), []byte(`{"vector":[]}`))
-	f.Add(byte('q'), []byte(`{"vector":[1e999,0,0,0]}`))
-	f.Add(byte('q'), []byte(`{"vector":[1,2]}`))
-	f.Add(byte('b'), []byte(`{"vectors":[[1,2,3,4],[4,3,2,1]]}`))
-	f.Add(byte('b'), []byte(`{"vectors":[]}`))
-	f.Add(byte('b'), []byte(`{"vectors":[[1,2,3,4],[1,2,3,4],[1,2,3,4],[1,2,3,4],[1,2,3,4],[1,2,3,4],[1,2,3,4],[1,2,3,4],[1,2,3,4]]}`))
-	f.Add(byte('i'), []byte(`{"key":7,"vector":[1,2,3,4]}`))
-	f.Add(byte('i'), []byte(`{"vector":[1,2,3,4]}`))
-	f.Add(byte('d'), []byte(`{"key":7}`))
-	f.Add(byte('d'), []byte(`{"id":3}`))
-	f.Add(byte('d'), []byte(`{"key":7,"id":3}`))
-	f.Add(byte('q'), []byte(`not json at all`))
-	f.Add(byte('q'), []byte(`{"vector":[1,2,3,4]} trailing`))
-	f.Add(byte('q'), []byte("{\"vector\":[\x00]}"))
+	f.Add(decodeQuery, []byte(`{"vector":[1,2,3,4]}`))
+	f.Add(decodeQuery, []byte(`{"vector":[1,2,3,4],"max":2}`))
+	f.Add(decodeQuery, []byte(`{"vector":[]}`))
+	f.Add(decodeQuery, []byte(`{"vector":[1e999,0,0,0]}`))
+	f.Add(decodeQuery, []byte(`{"vector":[1,2]}`))
+	f.Add(decodeBatch, []byte(`{"vectors":[[1,2,3,4],[4,3,2,1]]}`))
+	f.Add(decodeBatch, []byte(`{"vectors":[]}`))
+	f.Add(decodeBatch, []byte(`{"vectors":[[1,2,3,4],[1,2,3,4],[1,2,3,4],[1,2,3,4],[1,2,3,4],[1,2,3,4],[1,2,3,4],[1,2,3,4],[1,2,3,4]]}`))
+	f.Add(decodeInsert, []byte(`{"key":7,"vector":[1,2,3,4]}`))
+	f.Add(decodeInsert, []byte(`{"vector":[1,2,3,4]}`))
+	f.Add(decodeDelete, []byte(`{"key":7}`))
+	f.Add(decodeDelete, []byte(`{"id":3}`))
+	f.Add(decodeDelete, []byte(`{"key":7,"id":3}`))
+	f.Add(decodeQuery, []byte(`not json at all`))
+	f.Add(decodeQuery, []byte(`{"vector":[1,2,3,4]} trailing`))
+	f.Add(decodeQuery, []byte("{\"vector\":[\x00]}"))
 
 	// Decoding only touches opts and the routing flag, so a bare Server
 	// value suffices — no dispatcher, no index.
@@ -53,13 +62,13 @@ func FuzzWireDecode(f *testing.F) {
 		for _, srv := range []*Server{keyedSrv, rrSrv} {
 			var werr *wireError
 			switch which % 4 {
-			case 0:
+			case decodeQuery:
 				_, werr = srv.decodeQuery(bytes.NewReader(body))
-			case 1:
+			case decodeBatch:
 				_, werr = srv.decodeBatch(bytes.NewReader(body))
-			case 2:
+			case decodeInsert:
 				_, werr = srv.decodeInsert(bytes.NewReader(body))
-			case 3:
+			case decodeDelete:
 				_, werr = srv.decodeDelete(bytes.NewReader(body))
 			}
 			if werr != nil && (werr.status < 400 || werr.status >= 500) {

@@ -12,21 +12,18 @@ import (
 // family plus a repetition count, shared by cmd/dshbench and cmd/dshserve
 // so the two tools accept identical names and build identical indexes:
 //
-//	cp            dense cross-polytope (O(d^2) Gaussian rotation per eval)
 //	fastcp        FFT-accelerated cross-polytope (O(d log d) pseudo-rotation)
 //	simhash       SimHash^6 via the generic Power combinator (scalar hashing)
 //	batchsimhash  row-packed SimHash k=6 implementing core.BatchHasher
 //
-// cp and fastcp derive L from the asymptotic CPF at alpha = 0.5 (L =
-// ceil(1/f), the standard repetition count for constant success
-// probability) so their runs are directly comparable; the simhash pair
-// keeps the historical L = 32 so simhash reproduces the old churn-mode
-// default exactly.
+// fastcp derives L from the asymptotic CPF at alpha = 0.5 (L = ceil(1/f),
+// the standard repetition count for constant success probability); the
+// simhash pair keeps the historical L = 32 so simhash reproduces the old
+// churn-mode default exactly. Dense cross-polytope (sphere.CrossPolytope)
+// is not served: fastcp has the same CPF and hashes 2-37x faster, so the
+// dense family stays in the paper experiments only.
 func ServingFamily(name string, dim int) (core.Family[[]float64], int, error) {
 	switch name {
-	case "cp":
-		fam := sphere.CrossPolytope(dim)
-		return fam, repetitionsFor(fam.CPF().Eval(0.5)), nil
 	case "fastcp":
 		fam := sphere.FastCrossPolytope(dim)
 		return fam, repetitionsFor(fam.CPF().Eval(0.5)), nil
@@ -35,7 +32,7 @@ func ServingFamily(name string, dim int) (core.Family[[]float64], int, error) {
 	case "batchsimhash":
 		return sphere.PackedSimHash(dim, 6), 32, nil
 	}
-	return nil, 0, fmt.Errorf("unknown family %q (want cp, fastcp, simhash or batchsimhash)", name)
+	return nil, 0, fmt.Errorf("unknown family %q (want fastcp, simhash or batchsimhash)", name)
 }
 
 // repetitionsFor is L = ceil(1/f), mirroring index.RepetitionsForCPF

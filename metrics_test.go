@@ -110,7 +110,7 @@ func TestMetricsChurnSeriesAdvance(t *testing.T) {
 	mustAdvance("dsh_query_hash_evals_total")
 	mustAdvance("dsh_upserts_total")
 	mustAdvance("dsh_deletes_keyed_total")
-	mustAdvance("dsh_freezes_inline_total", "dsh_freezes_async_total", "dsh_freeze_installs_total")
+	mustAdvance("dsh_freezes_inline_total", "dsh_freezes_async_total")
 	mustAdvance("dsh_frozen_rows_total")
 	mustAdvance("dsh_compactions_gc_total")
 	mustAdvance("dsh_gc_collected_rows_total")
