@@ -13,11 +13,11 @@ import (
 	"dsh/internal/xrand"
 )
 
-// churnConfig parameterizes the dynamic-index churn mode: a DynamicIndex
-// over random unit vectors absorbing interleaved inserts, deletes and
-// query batches, then compacted, so the report shows serving QPS and
-// latency percentiles before and after compaction, plus insert latency
-// percentiles that expose the freeze write stall.
+// churnConfig parameterizes the dynamic-index churn mode: a one-shard
+// ShardedIndex over random unit vectors absorbing interleaved inserts,
+// deletes and query batches, then compacted, so the report shows serving
+// QPS and latency percentiles before and after compaction, plus insert
+// latency percentiles that expose the freeze write stall.
 type churnConfig struct {
 	Points    int
 	Queries   int
@@ -39,8 +39,8 @@ type churnConfig struct {
 	// earlier point follows the insert.
 	Deletes float64
 	// Routing selects the write path: "rr" (round-robin Insert with dense
-	// ids) or "hash" (keyed upserts through InsertKeyed, which on a
-	// ShardedIndex hash-routes keys to shards).
+	// ids) or "hash" (keyed upserts through InsertKeyed, hash-routed to
+	// shards).
 	Routing string
 	// Family selects the serving hash family (see
 	// workload.ServingFamily); empty means the historical default,
@@ -101,14 +101,15 @@ func runChurn(w io.Writer, cfg churnConfig) error {
 	// position as key, so the delete side can churn through DeleteKeyed and
 	// leveled GC gets a key table to remap.
 	buildStart := time.Now()
-	var dx *index.DynamicIndex[[]float64]
+	var dx *index.ShardedIndex[[]float64]
 	if keyed {
-		dx = index.NewDynamic(rng, fam, L, nil, opts)
+		dx = index.NewSharded(rng, fam, L, nil,
+			index.ShardOptions{Shards: 1, Routing: index.RouteHash, Dynamic: opts})
 		for i, p := range pts[:initial] {
 			dx.InsertKeyed(uint64(i), p)
 		}
 	} else {
-		dx = index.NewDynamic(rng, fam, L, pts[:initial], opts)
+		dx = index.NewSharded(rng, fam, L, pts[:initial], index.ShardOptions{Shards: 1, Dynamic: opts})
 	}
 	defer dx.Close()
 	buildTime := time.Since(buildStart)
@@ -257,7 +258,7 @@ func printMetricsTable(w io.Writer) {
 
 // dynQuerierPool pools Queriers for the churn serving loop.
 type dynQuerierPool struct {
-	dx   *index.DynamicIndex[[]float64]
+	dx   *index.ShardedIndex[[]float64]
 	pool sync.Pool
 }
 

@@ -70,7 +70,7 @@ func main() {
 	dim := flag.Int("dim", 24, "throughput/churn: dimension")
 	family := flag.String("family", "", "throughput/churn: serving hash family (fastcp, simhash or batchsimhash; default: the annulus family in -throughput, simhash in -churn)")
 	policy := flag.String("policy", "all", "churn: background compaction policy (all or leveled)")
-	shards := flag.Int("shards", 1, "churn, recover: ShardedIndex shard count (>1 runs the multi-writer or sharded-recovery variant)")
+	shards := flag.Int("shards", 1, "churn, recover: ShardedIndex shard count (churn: >1 runs the multi-writer variant beside a one-shard baseline)")
 	writers := flag.Int("writers", 1, "churn: concurrent insert/delete goroutines (multi-writer benchmark)")
 	deletes := flag.Float64("deletes", 0.25, "churn: per-insert probability of a trailing delete")
 	routing := flag.String("routing", "rr", "churn: insert routing (rr = dense round-robin ids via Insert, hash = keyed upserts via InsertKeyed)")

@@ -268,23 +268,11 @@ func NewRangeReporter[P any](rng *Rand, fam Family[P], L int, points []P, inRang
 // RepetitionsForCPF returns L = ceil(1/f).
 func RepetitionsForCPF(f float64) int { return index.RepetitionsForCPF(f) }
 
-// DynamicIndex is the mutable, LSM-style variant of Index: a map-layout
-// memtable absorbs Inserts, immutable flat-table segments hold frozen
-// points, and a tombstone bitmap records Deletes. The repetition draws are
-// shared across all layers, so collision-probability semantics match a
-// static Index over the live points exactly. All methods are safe for
-// concurrent use. A full memtable freezes into a segment in place;
-// segments retain their hash-key columns, so every merge (see
-// CompactionPolicy) moves memory instead of re-evaluating hash functions.
-// Compact folds everything into one flat segment, after which steady-state
-// queries through a Querier allocate nothing.
-type DynamicIndex[P any] = index.DynamicIndex[P]
-
-// DynamicOptions configures a DynamicIndex (memtable freeze threshold,
-// background compaction and its merge policy).
+// DynamicOptions configures every shard of a ShardedIndex (memtable
+// freeze threshold, background compaction and its merge policy).
 type DynamicOptions = index.DynamicOptions
 
-// CompactionPolicy selects whether a DynamicIndex's merges keep ids
+// CompactionPolicy selects whether a ShardedIndex's merges keep ids
 // stable (CompactAll) or collect tombstones and renumber (CompactLeveled);
 // explicit Compact calls always merge everything.
 type CompactionPolicy = index.CompactionPolicy
@@ -304,29 +292,27 @@ const (
 )
 
 // GCStats reports tombstone occupancy and garbage-collection progress for
-// a DynamicIndex or (summed across shards) a ShardedIndex; obtain it with
-// their GCStats methods. Only CompactLeveled reclaims bitmap storage and
+// a ShardedIndex, summed across its shards; obtain it with
+// ShardedIndex.GCStats. Only CompactLeveled reclaims bitmap storage and
 // collects rows permanently.
 type GCStats = index.GCStats
 
-// NewDynamicIndex builds a dynamic index over the initial points (global
-// ids 0..len-1) with L repetitions of fam. It consumes rng exactly like
-// NewIndex, so a static and a dynamic index seeded identically share
-// their repetition draws.
-func NewDynamicIndex[P any](rng *Rand, fam Family[P], L int, points []P, opts DynamicOptions) *DynamicIndex[P] {
-	return index.NewDynamic(rng, fam, L, points, opts)
-}
-
-// ShardedIndex is the multi-writer serving core: K independent
-// DynamicIndex shards — each with its own memtable, segment list,
-// compaction policy and locks — sharing one set of L repetition draws, so
-// inserts and deletes on different shards never contend while queries keep
-// the exact collision-probability semantics (and candidate/distinct
-// counts) of a single DynamicIndex over the same live points. Points are
-// partitioned by global id: id g lives on shard g mod K. Under RouteHash
-// routing, InsertKeyed sends every version of an external key to one
-// hash-chosen shard, making re-insertion an atomic upsert, and Snapshot
-// pins all shards at a single instant via the epoch barrier.
+// ShardedIndex is the mutable, LSM-style variant of Index and the
+// multi-writer serving core: K independent shards — each with its own
+// map-layout memtable absorbing Inserts, immutable flat-table segments
+// holding frozen points, tombstone bitmap recording Deletes, compaction
+// policy and locks — sharing one set of L repetition draws, so inserts and
+// deletes on different shards never contend while queries keep the exact
+// collision-probability semantics (and candidate/distinct counts) of a
+// static Index over the same live points. Segments retain their hash-key
+// columns, so every merge (see CompactionPolicy) moves memory instead of
+// re-evaluating hash functions; Compact folds each shard into one flat
+// segment, after which steady-state queries through a Querier allocate
+// nothing. Points are partitioned by global id: id g lives on shard g mod
+// K, and with Shards: 1 the ids and candidate order are a static Index's.
+// Under RouteHash routing, InsertKeyed sends every version of an external
+// key to one hash-chosen shard, making re-insertion an atomic upsert, and
+// Snapshot pins all shards at a single instant via the epoch barrier.
 type ShardedIndex[P any] = index.ShardedIndex[P]
 
 // ShardOptions configures a ShardedIndex: the shard count, the insert
@@ -350,20 +336,20 @@ const (
 // NewShardedDynamicIndex builds a sharded dynamic index over the initial
 // points (global ids 0..len-1, point i on shard i mod Shards) with L
 // repetitions of fam shared by every shard. It consumes rng exactly like
-// NewIndex and NewDynamicIndex, so sharded, single-shard and static
-// indexes seeded identically share their repetition draws. It panics with
-// a clear message when fam is nil, L <= 0, or opts.Shards <= 0.
+// NewIndex, so sharded and static indexes seeded identically share their
+// repetition draws. It panics with a clear message when fam is nil,
+// L <= 0, or opts.Shards <= 0.
 func NewShardedDynamicIndex[P any](rng *Rand, fam Family[P], L int, points []P, opts ShardOptions) *ShardedIndex[P] {
 	return index.NewSharded(rng, fam, L, points, opts)
 }
 
-// Durability: a DynamicIndex or ShardedIndex can be backed by an on-disk
-// store — a checksummed write-ahead log journaling every mutation
+// Durability: a ShardedIndex can be backed by an on-disk store — per
+// shard, a checksummed write-ahead log journaling every mutation
 // (including the hash keys, so recovery never re-evaluates a hash
 // function), immutable segment files written on checkpoint, and an
-// atomically-renamed manifest tying them together. Open* rebuilds the
-// exact serving state after a clean shutdown, a crash, or a torn WAL
-// tail.
+// atomically-renamed manifest tying them together, plus a top-level
+// manifest recording the shard count. OpenShardedIndex rebuilds the exact
+// serving state after a clean shutdown, a crash, or a torn WAL tail.
 
 // PointCodec serializes index points for the WAL and segment files.
 type PointCodec[P any] = durable.PointCodec[P]
@@ -397,35 +383,24 @@ const (
 	FsyncNever = durable.FsyncNever
 )
 
-// NewDurableDynamicIndex builds an empty dynamic index journaled under
-// dir (created if absent; it must not already hold a store). The index
-// behaves exactly like NewDynamicIndex(NewRand(seed), fam, L, nil, opts)
-// — same repetition draws, same candidate streams — with every mutation
-// additionally logged for recovery. Close it to checkpoint and seal the
-// store; DurableErr surfaces disk failures (the index keeps serving from
-// memory either way).
-func NewDurableDynamicIndex[P any](dir string, seed uint64, fam Family[P], L int, codec PointCodec[P], opts DynamicOptions, dopts DurableOptions) (*DynamicIndex[P], error) {
-	return index.NewDurableDynamic(dir, seed, fam, L, codec, opts, dopts)
-}
-
-// OpenDynamicIndex recovers a dynamic index from a directory written by
-// NewDurableDynamicIndex: segments load directly and the WAL tail
-// replays, with zero hash evaluations. fam must be the family the store
-// was created with (its per-repetition draws are re-sampled from the
-// recorded seed).
-func OpenDynamicIndex[P any](dir string, fam Family[P], codec PointCodec[P], opts DynamicOptions, dopts DurableOptions) (*DynamicIndex[P], error) {
-	return index.OpenDynamic(dir, fam, codec, opts, dopts)
-}
-
 // NewDurableShardedIndex builds an empty sharded index whose shards
-// journal into per-shard subdirectories of dir; shards checkpoint and
-// recover in parallel.
+// journal into per-shard subdirectories of dir (created if absent; it
+// must not already hold a store). The index behaves exactly like
+// NewShardedDynamicIndex(NewRand(seed), fam, L, nil, opts) — same
+// repetition draws, same candidate streams — with every mutation
+// additionally logged for recovery; shards checkpoint and recover in
+// parallel. Close it to checkpoint and seal the store; DurableErr
+// surfaces disk failures (the index keeps serving from memory either
+// way).
 func NewDurableShardedIndex[P any](dir string, seed uint64, fam Family[P], L int, codec PointCodec[P], opts ShardOptions, dopts DurableOptions) (*ShardedIndex[P], error) {
 	return index.NewDurableSharded(dir, seed, fam, L, codec, opts, dopts)
 }
 
 // OpenShardedIndex recovers a sharded index written by
-// NewDurableShardedIndex, opening all shards in parallel.
+// NewDurableShardedIndex, opening all shards in parallel: segments load
+// directly and the WAL tails replay, with zero hash evaluations. fam must
+// be the family the store was created with (its per-repetition draws are
+// re-sampled from the recorded seed).
 func OpenShardedIndex[P any](dir string, fam Family[P], codec PointCodec[P], dyn DynamicOptions, dopts DurableOptions) (*ShardedIndex[P], error) {
 	return index.OpenSharded(dir, fam, codec, dyn, dopts)
 }
@@ -435,27 +410,23 @@ func OpenShardedIndex[P any](dir string, fam Family[P], codec PointCodec[P], dyn
 // nowhere on disk.
 var ErrNotJournaled = index.ErrNotJournaled
 
-// Snapshot is an immutable, point-in-time view of a DynamicIndex: queries
-// and scans over it are lock-free and observe one consistent id set while
-// the live index keeps absorbing inserts, deletes and compactions. Obtain
-// one with DynamicIndex.Snapshot; release it with Release when done.
-type Snapshot[P any] = index.Snapshot[P]
-
-// ShardedSnapshot is the sharded counterpart of Snapshot: one pinned
-// per-shard view per shard, unified under the global-id arithmetic and
+// ShardedSnapshot is an immutable, point-in-time view of a ShardedIndex:
+// one pinned view per shard, unified under the global-id arithmetic and
 // together representing the whole index at a single instant (established
-// by the epoch barrier). Obtain one with ShardedIndex.Snapshot.
+// by the epoch barrier). Queries and scans over it are lock-free and
+// observe one consistent id set while the live index keeps absorbing
+// inserts, deletes and compactions. Obtain one with ShardedIndex.Snapshot;
+// release it with Release when done.
 type ShardedSnapshot[P any] = index.ShardedSnapshot[P]
 
 // Source is a serving backend handle and the query surface every index
-// backend shares (Index, DynamicIndex, ShardedIndex, Snapshot,
-// ShardedSnapshot all satisfy it): CollectDistinct, Candidates,
-// QueryBatch and NewQuerier. The Over constructors bind predicate veneers
-// to one.
+// backend shares (Index, ShardedIndex and ShardedSnapshot all satisfy
+// it): CollectDistinct, Candidates, QueryBatch and NewQuerier. The Over
+// constructors bind predicate veneers to one.
 type Source[P any] = index.Source[P]
 
-// NewAnnulusIndexOver wraps any serving backend — static, dynamic,
-// sharded, or a snapshot of either — in the Theorem 6.1 annulus-search
+// NewAnnulusIndexOver wraps any serving backend — static, sharded, or a
+// snapshot — in the Theorem 6.1 annulus-search
 // algorithm. The veneer shares the backend's storage: mutations on a live
 // backend are visible to subsequent queries immediately, and several
 // veneers may wrap one backend.
@@ -463,9 +434,8 @@ func NewAnnulusIndexOver[P any](src Source[P], within func(q, x P) bool) *Annulu
 	return index.NewAnnulusOver(src, within)
 }
 
-// NewRangeReporterOver wraps any serving backend — static, dynamic,
-// sharded, or a snapshot of either — in the Theorem 6.5 reporting
-// algorithm.
+// NewRangeReporterOver wraps any serving backend — static, sharded, or a
+// snapshot — in the Theorem 6.5 reporting algorithm.
 func NewRangeReporterOver[P any](src Source[P], inRange func(q, x P) bool) *RangeReporter[P] {
 	return index.NewRangeReporterOver(src, inRange)
 }
@@ -473,8 +443,7 @@ func NewRangeReporterOver[P any](src Source[P], inRange func(q, x P) bool) *Rang
 // Querier is a reusable query-scratch object bound to one backend: an
 // epoch-stamped visited array for deduplication, a negated-query buffer,
 // and a reusable output buffer. Obtain one with NewQuerier on any backend
-// (Index, DynamicIndex, ShardedIndex, Snapshot, ShardedSnapshot) or on a
-// veneer's Source(); a Querier is not safe for concurrent use (use one
+// (Index, ShardedIndex, ShardedSnapshot) or on a veneer's Source(); a Querier is not safe for concurrent use (use one
 // per goroutine). Steady-state queries through a Querier perform no heap
 // allocations; its CollectDistinct returns a slice that is only valid
 // until the Querier's next use.

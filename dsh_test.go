@@ -261,8 +261,8 @@ func TestFacadeDynamicIndex(t *testing.T) {
 	for i := range pts {
 		pts[i] = unit()
 	}
-	dx := dsh.NewDynamicIndex(rng, dsh.Power(dsh.SimHash(16), 4), 12, pts[:100],
-		dsh.DynamicOptions{MemtableThreshold: 32})
+	dx := dsh.NewShardedDynamicIndex(rng, dsh.Power(dsh.SimHash(16), 4), 12, pts[:100],
+		dsh.ShardOptions{Shards: 1, Dynamic: dsh.DynamicOptions{MemtableThreshold: 32}})
 	for _, p := range pts[100:] {
 		dx.Insert(p)
 	}
@@ -299,7 +299,7 @@ func TestFacadeDynamicIndex(t *testing.T) {
 
 // TestFacadeDynamicVeneers drives the unified serving veneers through the
 // public API: annulus search and range reporting over a mutating
-// DynamicIndex with background compaction.
+// one-shard index with background compaction.
 func TestFacadeDynamicVeneers(t *testing.T) {
 	rng := dsh.NewRand(13)
 	unit := func() []float64 {
@@ -319,12 +319,12 @@ func TestFacadeDynamicVeneers(t *testing.T) {
 	for i := range pts {
 		pts[i] = unit()
 	}
-	dx := dsh.NewDynamicIndex(rng, dsh.Power(dsh.SimHash(16), 4), 16, pts[:200],
-		dsh.DynamicOptions{
+	dx := dsh.NewShardedDynamicIndex(rng, dsh.Power(dsh.SimHash(16), 4), 16, pts[:200],
+		dsh.ShardOptions{Shards: 1, Dynamic: dsh.DynamicOptions{
 			MemtableThreshold:    64,
 			BackgroundCompaction: true,
 			MaxSegments:          3,
-		})
+		}})
 	defer dx.Close()
 
 	anything := func(q, x []float64) bool { return true }

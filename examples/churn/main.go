@@ -1,11 +1,11 @@
 // Churn: dynamic indexing on the recommender workload. The corpus of
 // article embeddings is not static — new articles are published, old ones
 // are retracted — so the index must absorb inserts and deletes without a
-// full rebuild. dsh.DynamicIndex layers a mutable memtable over frozen
-// flat-table segments with a tombstone bitmap for deletes; a full
-// memtable freezes into a segment, and the background compactor folds the
-// segments together once they pile up — without re-evaluating a single
-// hash function, because every layer retains its key columns.
+// full rebuild. A one-shard dsh.ShardedIndex layers a mutable memtable
+// over frozen flat-table segments with a tombstone bitmap for deletes; a
+// full memtable freezes into a segment, and the background compactor
+// folds the segments together once they pile up — without re-evaluating
+// a single hash function, because every layer retains its key columns.
 //
 // The annulus-search veneer is the same AnnulusIndex that serves static
 // indexes: dsh.NewAnnulusIndexOver wraps the mutating backend in the
@@ -41,12 +41,12 @@ func main() {
 	const lo, hi = 0.35, 0.65
 	ann := dsh.Annulus(d, (lo+hi)/2, 2.2)
 	L := dsh.RepetitionsForCPF(ann.CPF().Eval((lo + hi) / 2))
-	dx := dsh.NewDynamicIndex(rng, ann, L, corpus.Points[:initial],
-		dsh.DynamicOptions{
+	dx := dsh.NewShardedDynamicIndex(rng, ann, L, corpus.Points[:initial],
+		dsh.ShardOptions{Shards: 1, Dynamic: dsh.DynamicOptions{
 			MemtableThreshold:    256,
 			BackgroundCompaction: true, // merge when more than 4 segments pile up
 			MaxSegments:          4,
-		})
+		}})
 	defer dx.Close()
 	fmt.Printf("dynamic index: L = %d repetitions, %d segment(s)\n\n", L, dx.Segments())
 

@@ -2,12 +2,12 @@
 // fleet of sensors streams readings embedded on the unit sphere; an
 // operator repeatedly asks "every reading similar to this one" while new
 // readings arrive and stale ones are retired. dsh.NewRangeReporterOver
-// wraps a DynamicIndex in the Theorem 6.5 reporting algorithm — the same
-// RangeReporter veneer that serves static indexes — so the report set
-// tracks the live corpus: freshly inserted readings appear immediately,
-// retired ones vanish immediately, and background compaction keeps the
-// layer count (visible in QueryStats.Probes) bounded without ever
-// re-hashing a reading.
+// wraps a one-shard ShardedIndex in the Theorem 6.5 reporting algorithm —
+// the same RangeReporter veneer that serves static indexes — so the
+// report set tracks the live corpus: freshly inserted readings appear
+// immediately, retired ones vanish immediately, and background compaction
+// keeps the layer count (visible in QueryStats.Probes) bounded without
+// ever re-hashing a reading.
 //
 //	go run ./examples/dynrange
 package main
@@ -43,12 +43,12 @@ func main() {
 	const bandLo = 0.6
 	fam := dsh.Step(d, bandLo, 0.9, 3, 1.4)
 	L := 2 * dsh.RepetitionsForCPF(fam.CPF().Eval(0.9))
-	dx := dsh.NewDynamicIndex(rng, fam, L, pts[:initial],
-		dsh.DynamicOptions{
+	dx := dsh.NewShardedDynamicIndex(rng, fam, L, pts[:initial],
+		dsh.ShardOptions{Shards: 1, Dynamic: dsh.DynamicOptions{
 			MemtableThreshold:    200,
 			BackgroundCompaction: true,
 			MaxSegments:          4,
-		})
+		}})
 	defer dx.Close()
 
 	inBand := func(q, x []float64) bool { return vec.Dot(q, x) >= bandLo }

@@ -1,11 +1,11 @@
-// Sharded: multi-writer serving with snapshot-isolated scans. A single
-// DynamicIndex serializes every mutation on one RWMutex; under several
+// Sharded: multi-writer serving with snapshot-isolated scans. A
+// one-shard index serializes every mutation on one RWMutex; under several
 // concurrent writer threads that lock becomes the bottleneck.
-// dsh.NewShardedDynamicIndex partitions points by id across K independent
-// shards — each with its own memtable, segments and compactor —
-// so writers on different shards never contend, while queries probe every
-// shard with the same per-repetition key and return exactly the candidate
-// sets a single index would.
+// dsh.NewShardedDynamicIndex with Shards > 1 partitions points by id
+// across K independent shards — each with its own memtable, segments and
+// compactor — so writers on different shards never contend, while queries
+// probe every shard with the same per-repetition key and return exactly
+// the candidate sets a single shard would.
 //
 // Snapshot() pins a point-in-time view of every shard — a single instant
 // across all of them, enforced by an epoch-barrier protocol: the

@@ -22,6 +22,10 @@ import (
 const (
 	manMagic   = 0x0a316e616d_687364 // "dsh" "man1\n" packed LE
 	manVersion = 1
+
+	// minSegRefBytes is the least a SegmentRef occupies in the body: its
+	// name length, base and row count.
+	minSegRefBytes = 4 + 4 + 4
 )
 
 // SegmentRef names one live segment file and the contiguous global-id
@@ -50,8 +54,8 @@ type Manifest struct {
 	// re-sampled on open, never re-evaluated on points).
 	Seed uint64
 	L    uint32
-	// Shards is 0 for a plain DynamicIndex; for a sharded top-level
-	// manifest it is the shard count and Routing the routing mode.
+	// Shards is the shard count and Routing the routing mode in a store's
+	// top-level manifest; both are 0 in a shard's own manifest.
 	Shards  uint32
 	Routing uint32
 	// IDBound is len(points) at capture; Epoch, GCCollected and
@@ -155,8 +159,10 @@ func decodeManifest(name string, data []byte) (*Manifest, error) {
 	m.Epoch = c.u64()
 	m.GCCollected = c.u64()
 	m.GCReclaimed = c.u64()
+	// Bound the segment count by the body before sizing anything by it:
+	// every reference occupies at least minSegRefBytes.
 	nseg := int(c.u32())
-	if c.err != nil || nseg < 0 || nseg > 1<<20 {
+	if c.err != nil || nseg < 0 || nseg > len(c.b)/minSegRefBytes {
 		return nil, fmt.Errorf("%w: %s: bad segment count", ErrCorrupt, name)
 	}
 	m.Segments = make([]SegmentRef, nseg)

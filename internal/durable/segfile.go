@@ -55,6 +55,11 @@ const (
 	minRepBytes = 8 + 5*4
 )
 
+// MaxRepetitions is the largest repetition count L a store may record:
+// the segment reader rejects a header with more, and OpenSharded rejects
+// a manifest with more before sampling that many draws.
+const MaxRepetitions = 1 << 16
+
 // TableData mirrors one repetition's flat hash table.
 type TableData struct {
 	Mask       uint64
@@ -192,7 +197,7 @@ func (e *Env) ReadSegment(name string) (*SegmentData, error) {
 	}
 	reps := int(c.u32())
 	rows := int(c.u32())
-	if c.err != nil || reps < 0 || reps > 1<<16 || rows < 0 || rows > math.MaxInt32 {
+	if c.err != nil || reps < 0 || reps > MaxRepetitions || rows < 0 || rows > math.MaxInt32 {
 		return nil, fmt.Errorf("%w: %s: bad header", ErrCorrupt, name)
 	}
 	if room := len(c.b) - minRepBytes*reps; room < 0 || rows > room/minRowBytes {

@@ -125,7 +125,7 @@ func TestBatchHashSmallBatchFallsBack(t *testing.T) {
 // must match the scalar batch there too.
 func TestBatchHashDynamicWithDeletes(t *testing.T) {
 	rng := xrand.New(54)
-	dx := NewDynamic[[]float64](rng, sphere.FastCrossPolytope(testDim), 12, nil,
+	dx := newOneShard[[]float64](rng, sphere.FastCrossPolytope(testDim), 12, nil,
 		DynamicOptions{MemtableThreshold: 64})
 	pts := workload.SpherePoints(rng, 300, testDim)
 	for _, p := range pts {

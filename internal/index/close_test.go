@@ -12,16 +12,16 @@ import (
 )
 
 // TestCloseIdempotent hammers Close from many goroutines on both a plain
-// and a durable dynamic index: the seal must run exactly once, nothing
+// and a durable one-shard index: the seal must run exactly once, nothing
 // may panic, and the durable directory must reopen cleanly afterwards.
 func TestCloseIdempotent(t *testing.T) {
 	pts := workload.SpherePoints(xrand.New(801), 60, testDim)
 
-	plain := NewDynamic[[]float64](xrand.New(71), dynamicFamily(), 4, pts,
+	plain := newOneShard[[]float64](xrand.New(71), dynamicFamily(), 4, pts,
 		DynamicOptions{BackgroundCompaction: true, MemtableThreshold: 16})
 	dir := t.TempDir()
-	dur, err := NewDurableDynamic[[]float64](dir, 71, dynamicFamily(), 4, durable.Float64Codec{},
-		DynamicOptions{MemtableThreshold: 16}, durable.Options{})
+	dur, err := NewDurableSharded[[]float64](dir, 71, dynamicFamily(), 4, durable.Float64Codec{},
+		ShardOptions{Shards: 1, Dynamic: DynamicOptions{MemtableThreshold: 16}}, durable.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestCloseIdempotent(t *testing.T) {
 		dur.Insert(p)
 	}
 
-	for _, dx := range []*DynamicIndex[[]float64]{plain, dur} {
+	for _, dx := range []*ShardedIndex[[]float64]{plain, dur} {
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
@@ -45,7 +45,7 @@ func TestCloseIdempotent(t *testing.T) {
 		t.Fatalf("durable error after concurrent closes: %v", err)
 	}
 
-	rx, err := OpenDynamic[[]float64](dir, dynamicFamily(), durable.Float64Codec{},
+	rx, err := OpenSharded[[]float64](dir, dynamicFamily(), durable.Float64Codec{},
 		DynamicOptions{MemtableThreshold: 16}, durable.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -55,20 +55,24 @@ func TestCloseIdempotent(t *testing.T) {
 }
 
 // TestCloseConcurrentWithWriters races Close against live insert
-// goroutines. Writers that land before the seal are journaled; any that
-// land after are in-memory only and must latch ErrNotJournaled. Either
-// way the directory must reopen, recovering a subset of the inserted
-// points with no corruption and no invented rows.
+// goroutines on the store's single shard. Writers that land before the
+// seal are journaled; any that land after are in-memory only and must
+// latch ErrNotJournaled. Either way the directory must reopen, recovering
+// a subset of the inserted points with no corruption and no invented
+// rows.
 func TestCloseConcurrentWithWriters(t *testing.T) {
 	const writers, perWriter = 4, 40
 	dir := t.TempDir()
 	pts := workload.SpherePoints(xrand.New(803), writers*perWriter, testDim)
-	dx, err := NewDurableDynamic[[]float64](dir, 73, dynamicFamily(), 4, durable.Float64Codec{},
-		DynamicOptions{MemtableThreshold: 8, Policy: CompactLeveled}, durable.Options{})
+	dx, err := NewDurableSharded[[]float64](dir, 73, dynamicFamily(), 4, durable.Float64Codec{},
+		ShardOptions{Shards: 1, Dynamic: DynamicOptions{MemtableThreshold: 8, Policy: CompactLeveled}}, durable.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	// The writers drive the shard itself: ShardedIndex.Insert refuses a
+	// closed index, and the race here is between a mutation and the seal.
+	sh := dx.shards[0]
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for w := 0; w < writers; w++ {
@@ -77,7 +81,7 @@ func TestCloseConcurrentWithWriters(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < perWriter; i++ {
-				dx.Insert(pts[w*perWriter+i])
+				sh.Insert(pts[w*perWriter+i])
 			}
 		}(w)
 	}
@@ -95,7 +99,7 @@ func TestCloseConcurrentWithWriters(t *testing.T) {
 		t.Fatalf("unexpected durable error: %v", err)
 	}
 
-	rx, err := OpenDynamic[[]float64](dir, dynamicFamily(), durable.Float64Codec{},
+	rx, err := OpenSharded[[]float64](dir, dynamicFamily(), durable.Float64Codec{},
 		DynamicOptions{MemtableThreshold: 8, Policy: CompactLeveled}, durable.Options{})
 	if err != nil {
 		t.Fatalf("reopen after racing close failed: %v", err)
@@ -109,7 +113,7 @@ func TestCloseConcurrentWithWriters(t *testing.T) {
 	for _, p := range pts {
 		inserted[fmt.Sprint(p)] = true
 	}
-	for id := 0; id < len(rx.points); id++ {
+	for id := 0; id < len(rx.shards[0].points); id++ {
 		if rx.Deleted(id) {
 			continue
 		}
@@ -123,34 +127,37 @@ func TestCloseConcurrentWithWriters(t *testing.T) {
 }
 
 // TestMutationAfterCloseLatchesErrNotJournaled proves the documented
-// failure model: a mutation after Close still applies in memory but
-// latches ErrNotJournaled, and recovery serves only the sealed state.
+// failure model: a mutation after Close (a delete — inserts panic on a
+// closed index) still applies in memory but latches ErrNotJournaled, and
+// recovery serves only the sealed state.
 func TestMutationAfterCloseLatchesErrNotJournaled(t *testing.T) {
 	dir := t.TempDir()
 	pts := workload.SpherePoints(xrand.New(805), 40, testDim)
-	dx, err := NewDurableDynamic[[]float64](dir, 79, dynamicFamily(), 4, durable.Float64Codec{},
-		DynamicOptions{MemtableThreshold: 16}, durable.Options{})
+	dx, err := NewDurableSharded[[]float64](dir, 79, dynamicFamily(), 4, durable.Float64Codec{},
+		ShardOptions{Shards: 1, Routing: RouteHash, Dynamic: DynamicOptions{MemtableThreshold: 16}}, durable.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range pts[:30] {
-		dx.Insert(p)
+	for i, p := range pts[:30] {
+		dx.InsertKeyed(uint64(i), p)
 	}
 	dx.Close()
 	if err := dx.DurableErr(); err != nil {
 		t.Fatalf("durable error after clean close: %v", err)
 	}
 
-	dx.Insert(pts[30])
-	dx.InsertKeyed(9, pts[31])
-	if dx.Len() != 32 {
+	id3, _ := dx.LookupKey(3)
+	if !dx.Delete(id3) || !dx.DeleteKeyed(9) {
+		t.Fatal("post-close delete of a live point returned false")
+	}
+	if dx.Len() != 28 {
 		t.Fatalf("post-close mutations not applied in memory: len %d", dx.Len())
 	}
 	if err := dx.DurableErr(); !errors.Is(err, ErrNotJournaled) {
 		t.Fatalf("DurableErr after post-close mutation = %v, want ErrNotJournaled", err)
 	}
 
-	rx, err := OpenDynamic[[]float64](dir, dynamicFamily(), durable.Float64Codec{},
+	rx, err := OpenSharded[[]float64](dir, dynamicFamily(), durable.Float64Codec{},
 		DynamicOptions{MemtableThreshold: 16}, durable.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -159,8 +166,10 @@ func TestMutationAfterCloseLatchesErrNotJournaled(t *testing.T) {
 	if rx.Len() != 30 {
 		t.Fatalf("recovered %d rows, want the 30 sealed ones", rx.Len())
 	}
-	if _, ok := rx.LookupKey(9); ok {
-		t.Fatal("post-close keyed insert leaked onto disk")
+	for _, key := range []uint64{3, 9} {
+		if _, ok := rx.LookupKey(key); !ok {
+			t.Fatalf("post-close delete of key %d leaked onto disk", key)
+		}
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"dsh/internal/obs"
 )
 
-// Compaction for DynamicIndex. Every layer retains its per-repetition key
+// Compaction for a shard. Every layer retains its per-repetition key
 // columns (segments since construction, memtables by design), so a merge
 // never re-evaluates a hash function: it concatenates the key and id
 // columns of the merged layers oldest-first, drops tombstoned rows, and
@@ -53,10 +53,10 @@ const (
 const growthFactor = 4
 
 // GCStats reports tombstone occupancy and garbage-collection progress for
-// a DynamicIndex (or, summed across shards, a ShardedIndex). DeadRows
-// counts tombstoned rows still occupying table space across every layer;
-// CollectedRows and ReclaimedBitmapBytes accumulate what leveled GC merges
-// have permanently dropped. Under CompactAll, merges drop dead rows from
+// a ShardedIndex, summed across its shards. DeadRows counts tombstoned
+// rows still occupying table space across every layer; CollectedRows and
+// ReclaimedBitmapBytes accumulate what leveled GC merges have permanently
+// dropped. Under CompactAll, merges drop dead rows from
 // the tables (DeadRows shrinks) but never renumber ids, so BitmapBytes
 // only grows; only CompactLeveled reclaims it.
 type GCStats struct {
@@ -138,7 +138,7 @@ func mergeSources(L int, srcs []colSource, dead *bitvec.Bitmap) *segment {
 
 // Compact freezes the memtable and merges it with all frozen segments into
 // a single segment, dropping deleted points from the tables. After Compact
-// the index answers queries from one flat segment and an empty memtable —
+// the shard answers queries from one flat segment and an empty memtable —
 // the zero-allocation steady state, with candidate order matching a static
 // Index over the live points. Safe to call concurrently with queries and mutations.
 // Deletes that land during the merge stay tombstoned (bits are never
@@ -149,7 +149,7 @@ func mergeSources(L int, srcs []colSource, dead *bitvec.Bitmap) *segment {
 // instead: it additionally renumbers the surviving rows through a dense id
 // space and rebuilds the tombstone bitmap at the smaller size, so global
 // ids may change (see CompactLeveled and GCStats).
-func (dx *DynamicIndex[P]) Compact() {
+func (dx *shard[P]) Compact() {
 	if dx.opts.Policy == CompactLeveled {
 		dx.compactGC()
 		return
@@ -202,7 +202,7 @@ func (dx *DynamicIndex[P]) Compact() {
 // old id space stay consistent. When any row is dropped the mutation epoch
 // advances — ids changed, so epoch-based staleness checks (and caches
 // keyed on ids) correctly observe the GC.
-func (dx *DynamicIndex[P]) compactGC() {
+func (dx *shard[P]) compactGC() {
 	dx.mergeMu.Lock()
 	defer dx.mergeMu.Unlock()
 
@@ -263,12 +263,10 @@ func (dx *DynamicIndex[P]) compactGC() {
 	delta := int32(len(surv) - snapBound) // shift for every id assigned after the pin
 
 	// The swap renumbers visible ids, so it counts as a write for the
-	// sharded epoch barrier: holding the barrier shared keeps a concurrent
+	// epoch barrier: holding the barrier shared keeps a concurrent
 	// epoch-barrier Snapshot from pinning shards on both sides of a GC.
-	if dx.barrier != nil {
-		dx.barrier.RLock()
-		defer dx.barrier.RUnlock()
-	}
+	dx.barrier.RLock()
+	defer dx.barrier.RUnlock()
 	dx.mu.Lock()
 	defer dx.mu.Unlock()
 
@@ -373,7 +371,7 @@ func rankOf(ids []int32, id int32) int {
 // segment or dead rows have reached 1/growthFactor of the live count;
 // otherwise it folds the upper segments (everything above the bottom one)
 // into a single level-1 segment.
-func (dx *DynamicIndex[P]) compactLeveledStep() bool {
+func (dx *shard[P]) compactLeveledStep() bool {
 	dx.mu.RLock()
 	segs := dx.segments
 	live := dx.live
@@ -409,7 +407,7 @@ func (dx *DynamicIndex[P]) compactLeveledStep() bool {
 // higher id, so the external-key table was left pointing at out-of-range
 // ids (the bug pinned by TestReproGCHoleRenumbering). Dead rows therefore
 // live until the bottom fold, which drops and renumbers them atomically.
-func (dx *DynamicIndex[P]) compactUpperStep() bool {
+func (dx *shard[P]) compactUpperStep() bool {
 	dx.mergeMu.Lock()
 	defer dx.mergeMu.Unlock()
 
@@ -450,7 +448,7 @@ func (dx *DynamicIndex[P]) compactUpperStep() bool {
 // segmentsHaveTombstonesLocked reports whether any frozen segment still
 // holds a tombstoned point (making a single-segment merge worthwhile).
 // Callers hold mu.
-func (dx *DynamicIndex[P]) segmentsHaveTombstonesLocked() bool {
+func (dx *shard[P]) segmentsHaveTombstonesLocked() bool {
 	if dx.dead.Count() == 0 {
 		return false
 	}

@@ -52,7 +52,7 @@ func TestCompactionPerformsNoHashEvaluations(t *testing.T) {
 	const L, initial, inserts = 12, 100, 400
 	pts := workload.SpherePoints(xrand.New(61), initial+inserts, testDim)
 
-	dx := NewDynamic[[]float64](xrand.New(62), fam, L, pts[:initial],
+	dx := newOneShard[[]float64](xrand.New(62), fam, L, pts[:initial],
 		DynamicOptions{MemtableThreshold: 64})
 	for i, p := range pts[initial:] {
 		dx.Insert(p)
@@ -72,7 +72,7 @@ func TestCompactionPerformsNoHashEvaluations(t *testing.T) {
 	if dx.Segments() < 4 {
 		t.Fatalf("fixture too flat: %d segments", dx.Segments())
 	}
-	if !dx.compactUpperStep() {
+	if !dx.shards[0].compactUpperStep() {
 		t.Fatal("compactUpperStep found nothing to fold")
 	}
 	dx.Compact()
@@ -108,7 +108,7 @@ func TestCompactionPerformsNoHashEvaluations(t *testing.T) {
 // before and after Compact.
 func TestAsyncFreezeMatchesInline(t *testing.T) {
 	pts := workload.SpherePoints(xrand.New(71), 800, testDim)
-	dx := NewDynamic[[]float64](xrand.New(72), dynamicFamily(), 12, pts[:200],
+	dx := newOneShard[[]float64](xrand.New(72), dynamicFamily(), 12, pts[:200],
 		DynamicOptions{MemtableThreshold: 64})
 	for i, p := range pts[200:] {
 		dx.Insert(p)
@@ -162,7 +162,7 @@ func TestAsyncFreezeMatchesInline(t *testing.T) {
 // within one result.
 func TestDynamicConcurrentQueryAsyncFreeze(t *testing.T) {
 	pts := workload.SpherePoints(xrand.New(81), 3000, testDim)
-	dx := NewDynamic[[]float64](xrand.New(82), dynamicFamily(), 10, pts[:200],
+	dx := newOneShard[[]float64](xrand.New(82), dynamicFamily(), 10, pts[:200],
 		DynamicOptions{MemtableThreshold: 16})
 	within := withinSim(-1, 2)
 	ai := NewAnnulusOver(dx, within)
@@ -225,7 +225,7 @@ func TestDynamicConcurrentQueryAsyncFreeze(t *testing.T) {
 // honored through any merge interleaving.
 func TestDynamicDeleteDuringTieredCompact(t *testing.T) {
 	pts := workload.SpherePoints(xrand.New(84), 2000, testDim)
-	dx := NewDynamic[[]float64](xrand.New(85), dynamicFamily(), 10, pts[:200],
+	dx := newOneShard[[]float64](xrand.New(85), dynamicFamily(), 10, pts[:200],
 		DynamicOptions{MemtableThreshold: 32, MaxSegments: 3, BackgroundCompaction: true})
 	defer dx.Close()
 

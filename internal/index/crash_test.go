@@ -13,9 +13,9 @@ import (
 )
 
 // The crash matrix: a deterministic scripted workload (inserts, keyed
-// upserts, deletes, checkpoints, GC compactions) runs against a durable
-// index with a fault injected at every named syscall point, at several
-// occurrences each. After the simulated kill the script keeps issuing
+// upserts, deletes, checkpoints, GC compactions) runs against the single
+// shard of a durable one-shard index with a fault injected at every named
+// syscall point of the shard's store, at several occurrences each. After the simulated kill the script keeps issuing
 // mutations (they are lost by definition — the process is dead), then
 // recovery opens the directory and the recovered state must equal an
 // in-memory reference replay of the acked op prefix: either all ops
@@ -67,10 +67,12 @@ func crashDynOpts() DynamicOptions {
 	return DynamicOptions{MemtableThreshold: 8, Policy: CompactLeveled}
 }
 
-// applyCrashOp applies one scripted op; the durable index and the
+// applyCrashOp applies one scripted op to a one-shard index's shard, which
+// takes plain and keyed inserts alike; the durable index and the
 // in-memory reference go through the identical code path, so their id
 // assignment (including GC renumbering) stays in lockstep.
-func applyCrashOp(dx *DynamicIndex[[]float64], op crashOp, pts [][]float64) {
+func applyCrashOp(sx *ShardedIndex[[]float64], op crashOp, pts [][]float64) {
+	dx := sx.shards[0]
 	switch op.kind {
 	case 0:
 		dx.Insert(pts[op.pi])
@@ -89,8 +91,8 @@ func applyCrashOp(dx *DynamicIndex[[]float64], op crashOp, pts [][]float64) {
 
 // crashReference replays ops[:n] on a fresh in-memory index sharing the
 // durable index's repetition draws.
-func crashReference(n int, ops []crashOp, pts [][]float64) *DynamicIndex[[]float64] {
-	ref := NewDynamic[[]float64](xrand.New(crashSeed), dynamicFamily(), crashL, nil, crashDynOpts())
+func crashReference(n int, ops []crashOp, pts [][]float64) *ShardedIndex[[]float64] {
+	ref := newOneShard[[]float64](xrand.New(crashSeed), dynamicFamily(), crashL, nil, crashDynOpts())
 	for _, op := range ops[:n] {
 		applyCrashOp(ref, op, pts)
 	}
@@ -99,8 +101,8 @@ func crashReference(n int, ops []crashOp, pts [][]float64) *DynamicIndex[[]float
 
 // servingEqual reports whether two indexes serve identically (live count,
 // candidate stream per probe, tombstones, stored points).
-func servingEqual(want, got *DynamicIndex[[]float64]) bool {
-	if want.Len() != got.Len() || len(want.points) != len(got.points) {
+func servingEqual(want, got *ShardedIndex[[]float64]) bool {
+	if want.Len() != got.Len() || idBound(want) != idBound(got) {
 		return false
 	}
 	for _, q := range recoverQueries(12) {
@@ -108,7 +110,7 @@ func servingEqual(want, got *DynamicIndex[[]float64]) bool {
 			return false
 		}
 	}
-	for id := 0; id < len(want.points); id++ {
+	for id := 0; id < idBound(want); id++ {
 		if want.Deleted(id) != got.Deleted(id) {
 			return false
 		}
@@ -119,13 +121,32 @@ func servingEqual(want, got *DynamicIndex[[]float64]) bool {
 	return true
 }
 
+// topCrossings is how often creating a store crosses each fault point
+// before its first shard is touched: the top-level manifest commit.
+func topCrossings(t *testing.T) map[string]int {
+	t.Helper()
+	trace := durable.Trace()
+	env, err := durable.OpenEnv(t.TempDir(), durable.Options{Hooks: trace})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := env.WriteManifest(&durable.Manifest{L: crashL, Shards: 1}); err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int{}
+	for _, p := range trace.Crossings() {
+		counts[p]++
+	}
+	return counts
+}
+
 // crashTrace runs the whole script (including Close) on a traced durable
 // index and returns how often it crossed each fault point.
 func crashTrace(t *testing.T, ops []crashOp, pts [][]float64) map[string]int {
 	t.Helper()
 	trace := durable.Trace()
-	dx, err := NewDurableDynamic[[]float64](t.TempDir(), crashSeed, dynamicFamily(), crashL, durable.Float64Codec{},
-		crashDynOpts(), durable.Options{Fsync: durable.FsyncAlways, Hooks: trace})
+	dx, err := NewDurableSharded[[]float64](t.TempDir(), crashSeed, dynamicFamily(), crashL, durable.Float64Codec{},
+		ShardOptions{Shards: 1, Dynamic: crashDynOpts()}, durable.Options{Fsync: durable.FsyncAlways, Hooks: trace})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +180,19 @@ func TestCrashMatrixRecovery(t *testing.T) {
 		t.Fatalf("workload crossed only %d fault points (%v); fixture too shallow", len(counts), counts)
 	}
 
+	// Occurrences are numbered over the shard's store, after the top-level
+	// manifest commit; a fault inside that commit can only fail store
+	// creation, and each of its crossings gets a case of its own.
+	top := topCrossings(t)
+	for point, n := range top {
+		for occ := 0; occ < n; occ++ {
+			t.Run(fmt.Sprintf("top:%s#%d", point, occ), func(t *testing.T) {
+				runCrashCase(t, point, occ, ops, pts)
+			})
+		}
+	}
 	for point, total := range counts {
+		total -= top[point]
 		occs := []int{0, total / 2, total - 1}
 		seen := map[int]bool{}
 		for _, occ := range occs {
@@ -168,17 +201,19 @@ func TestCrashMatrixRecovery(t *testing.T) {
 			}
 			seen[occ] = true
 			t.Run(fmt.Sprintf("%s#%d", point, occ), func(t *testing.T) {
-				runCrashCase(t, point, occ, ops, pts)
+				runCrashCase(t, point, top[point]+occ, ops, pts)
 			})
 		}
 	}
 }
 
+// runCrashCase fails the store at the given crossing of point, counted
+// from store creation, and checks what recovery makes of it.
 func runCrashCase(t *testing.T, point string, occ int, ops []crashOp, pts [][]float64) {
 	dir := t.TempDir()
 	hooks := durable.FailAt(map[string]int{point: occ})
-	dx, err := NewDurableDynamic[[]float64](dir, crashSeed, dynamicFamily(), crashL, durable.Float64Codec{},
-		crashDynOpts(), durable.Options{Fsync: durable.FsyncAlways, Hooks: hooks})
+	dx, err := NewDurableSharded[[]float64](dir, crashSeed, dynamicFamily(), crashL, durable.Float64Codec{},
+		ShardOptions{Shards: 1, Dynamic: crashDynOpts()}, durable.Options{Fsync: durable.FsyncAlways, Hooks: hooks})
 	if err != nil {
 		// The fault hit store creation itself: the caller got an error, so
 		// nothing was ever acknowledged and there is nothing to recover.
@@ -207,7 +242,7 @@ func runCrashCase(t *testing.T, point string, occ int, ops []crashOp, pts [][]fl
 		}
 	}
 
-	rx, err := OpenDynamic[[]float64](dir, dynamicFamily(), durable.Float64Codec{},
+	rx, err := OpenSharded[[]float64](dir, dynamicFamily(), durable.Float64Codec{},
 		crashDynOpts(), durable.Options{})
 	if err != nil {
 		t.Fatalf("recovery failed after fault at %s#%d: %v", point, occ, err)
@@ -239,8 +274,8 @@ func runCrashCase(t *testing.T, point string, occ int, ops []crashOp, pts [][]fl
 func TestCrashBitFlipSegmentDetected(t *testing.T) {
 	dir := t.TempDir()
 	pts := workload.SpherePoints(xrand.New(713), 100, testDim)
-	dx, err := NewDurableDynamic[[]float64](dir, 61, dynamicFamily(), crashL, durable.Float64Codec{},
-		DynamicOptions{MemtableThreshold: 16}, durable.Options{})
+	dx, err := NewDurableSharded[[]float64](dir, 61, dynamicFamily(), crashL, durable.Float64Codec{},
+		ShardOptions{Shards: 1, Dynamic: DynamicOptions{MemtableThreshold: 16}}, durable.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +284,7 @@ func TestCrashBitFlipSegmentDetected(t *testing.T) {
 	}
 	dx.Close()
 
-	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+	segs, err := filepath.Glob(filepath.Join(dir, shardDirName(0), "seg-*.seg"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segment files after close (err %v)", err)
 	}
@@ -260,7 +295,7 @@ func TestCrashBitFlipSegmentDetected(t *testing.T) {
 	if err := durable.FlipBit(segs[0], info.Size()/2, 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenDynamic[[]float64](dir, dynamicFamily(), durable.Float64Codec{},
+	if _, err := OpenSharded[[]float64](dir, dynamicFamily(), durable.Float64Codec{},
 		DynamicOptions{}, durable.Options{}); err == nil {
 		t.Fatal("recovery accepted a bit-flipped segment file")
 	}
@@ -273,16 +308,16 @@ func TestCrashBitFlipWALTruncates(t *testing.T) {
 	dir := t.TempDir()
 	const n = 50
 	pts := workload.SpherePoints(xrand.New(715), n, testDim)
-	dx, err := NewDurableDynamic[[]float64](dir, 67, dynamicFamily(), crashL, durable.Float64Codec{},
-		DynamicOptions{MemtableThreshold: 1024}, durable.Options{Fsync: durable.FsyncAlways})
+	dx, err := NewDurableSharded[[]float64](dir, 67, dynamicFamily(), crashL, durable.Float64Codec{},
+		ShardOptions{Shards: 1, Dynamic: DynamicOptions{MemtableThreshold: 1024}}, durable.Options{Fsync: durable.FsyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range pts {
 		dx.Insert(p)
 	}
-	// No Close: all n rows live in wal-00000001.log only.
-	wal := filepath.Join(dir, durable.WALName(1))
+	// No Close: all n rows live in the shard's wal-00000001.log only.
+	wal := filepath.Join(dir, shardDirName(0), durable.WALName(1))
 	info, err := os.Stat(wal)
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +326,7 @@ func TestCrashBitFlipWALTruncates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rx, err := OpenDynamic[[]float64](dir, dynamicFamily(), durable.Float64Codec{},
+	rx, err := OpenSharded[[]float64](dir, dynamicFamily(), durable.Float64Codec{},
 		DynamicOptions{}, durable.Options{})
 	if err != nil {
 		t.Fatalf("recovery failed on bit-flipped WAL tail: %v", err)
@@ -300,7 +335,7 @@ func TestCrashBitFlipWALTruncates(t *testing.T) {
 	if rx.Len() != n-1 {
 		t.Fatalf("recovered %d rows, want %d (last record truncated)", rx.Len(), n-1)
 	}
-	ref := NewDynamic[[]float64](xrand.New(67), dynamicFamily(), crashL, nil, DynamicOptions{MemtableThreshold: 1024})
+	ref := newOneShard[[]float64](xrand.New(67), dynamicFamily(), crashL, nil, DynamicOptions{MemtableThreshold: 1024})
 	for _, p := range pts[:n-1] {
 		ref.Insert(p)
 	}

@@ -7,10 +7,9 @@ import (
 	"dsh/internal/bitvec"
 	"dsh/internal/core"
 	"dsh/internal/obs"
-	"dsh/internal/xrand"
 )
 
-// DynamicOptions configures a DynamicIndex.
+// DynamicOptions configures every shard of a ShardedIndex.
 type DynamicOptions struct {
 	// MemtableThreshold is the number of buffered inserts after which the
 	// memtable is automatically frozen into a segment (<= 0 means the
@@ -48,22 +47,23 @@ func (o DynamicOptions) withDefaults() DynamicOptions {
 	return o
 }
 
-// DynamicIndex is the mutable, LSM-style backend of the candidateSource
-// core: a small map-layout memtable absorbs fresh inserts, immutable
-// flat-table segments hold frozen points, and a tombstone bitmap records
-// deletes, consulted during candidate iteration. The L repetition draws
-// (h_i, g_i) are sampled once at construction and shared by every layer,
-// so a query hashes once per repetition and probes every layer with the
-// same key — the collision-probability semantics of the family are
-// exactly those of a static Index over the live points.
+// shard is the mutable, LSM-style store of one ShardedIndex shard: a
+// small map-layout memtable absorbs fresh inserts, immutable flat-table
+// segments hold frozen points, and a tombstone bitmap records deletes,
+// consulted during candidate iteration. The L repetition draws (h_i, g_i)
+// are the owning index's, shared by every shard and every layer, so a
+// query hashes once per repetition and probes every layer with the same
+// key — the collision-probability semantics of the family are exactly
+// those of a static Index over the live points.
 //
-// Every point keeps a stable global id, assigned by Insert in increasing
-// order (the initial points get ids 0..len-1) and preserved across freezes
-// and merges. Layers are kept in ascending global-id order (segments
-// oldest first, then the live memtable), so the per-repetition candidate
-// stream walks live points in exactly the order a static Index over them
-// would. Compact folds all frozen state back into a single flat segment,
-// dropping tombstoned points from the tables; ids are never reused.
+// Every point keeps a stable shard-local id, assigned by Insert in
+// increasing order (the initial points get ids 0..len-1) and preserved
+// across freezes and merges. Layers are kept in ascending id order
+// (segments oldest first, then the live memtable), so the per-repetition
+// candidate stream walks live points in exactly the order a static Index
+// over them would. Compact folds all frozen state back into a single flat
+// segment, dropping tombstoned points from the tables; ids are never
+// reused.
 //
 // All methods are safe for concurrent use. Locking discipline: mu (the
 // structural RWMutex) guards the layer lists, the points array, and the
@@ -73,52 +73,50 @@ func (o DynamicOptions) withDefaults() DynamicOptions {
 // MemtableThreshold. mergeMu serializes compaction merges; it is always
 // acquired before mu and never held while blocking on queries, so the
 // expensive merge builds run with neither queries nor inserts stalled.
-// Steady-state queries through a Querier perform no heap allocations
-// once the memtable has been compacted away.
-type DynamicIndex[P any] struct {
-	readPath[P]
-	opts DynamicOptions
+type shard[P any] struct {
+	// pairs are the owning index's repetition draws; Insert hashes a point
+	// with every pairs[i].H.
+	pairs []core.Pair[P]
+	opts  DynamicOptions
 
 	// mu guards every field below it. Queries hold it shared; Insert,
 	// Delete and the structural swaps of freezes and merges hold it
 	// exclusively.
 	mu sync.RWMutex
-	// points holds every point ever inserted, indexed by global id. It is
-	// append-only: elements below len are immutable, so merges, veneers
-	// and snapshots can read pinned copies of the slice header without
-	// holding mu.
+	// points holds every point ever inserted, indexed by id. It is
+	// append-only: elements below len are immutable, so merges and pins
+	// can read copies of the slice header without holding mu.
 	points   []P
 	segments []*segment
 	mem      *memtable
-	// dead is the tombstone bitmap over global ids. Bits are set by
-	// Delete and never cleared in place: after a merge drops a point from
-	// the tables its bit is simply never consulted again, and keeping it
-	// set makes double-Delete detection trivial. Only the leveled GC
-	// replaces the bitmap wholesale, rebuilt over the compacted id space.
+	// dead is the tombstone bitmap over ids. Bits are set by Delete and
+	// never cleared in place: after a merge drops a point from the tables
+	// its bit is simply never consulted again, and keeping it set makes
+	// double-Delete detection trivial. Only the leveled GC replaces the
+	// bitmap wholesale, rebuilt over the compacted id space.
 	dead bitvec.Bitmap
 	live int
-	// keyed maps an external key to the global id of its newest version;
-	// nil until the first InsertKeyed. Entries always point at the latest
+	// keyed maps an external key to the id of its newest version; nil
+	// until the first InsertKeyed. Entries always point at the latest
 	// insert under the key — upserts tombstone the previous id in the same
 	// critical section — and the leveled GC renumbers them alongside the
 	// rows.
 	keyed map[uint64]int32
-	// epoch counts visible mutations (Insert and successful Delete).
-	// Snapshots capture it, so Epoch comparison detects staleness;
-	// structural rewrites (freezes, merges) preserve the live set and do
-	// not advance it — except a leveled GC merge that drops rows, which
-	// renumbers ids and therefore advances the epoch once.
+	// epoch counts visible mutations (Insert and successful Delete). Pins
+	// capture it, so epoch comparison detects staleness; structural
+	// rewrites (freezes, merges) preserve the live set and do not advance
+	// it — except a leveled GC merge that drops rows, which renumbers ids
+	// and therefore advances the epoch once.
 	epoch uint64
 	// gcCollected and gcReclaimedBytes accumulate what leveled GC merges
 	// have permanently dropped; surfaced via GCStats.
 	gcCollected      int
 	gcReclaimedBytes int
 
-	// barrier, when non-nil, is the owning ShardedIndex's epoch barrier:
-	// every visible mutation (Insert, InsertKeyed, Delete, DeleteKeyed)
-	// and every id-renumbering GC swap holds it shared, so the sharded
-	// Snapshot can quiesce all shards at one instant by holding it
-	// exclusively. Standalone indexes leave it nil.
+	// barrier is the owning ShardedIndex's epoch barrier: every visible
+	// mutation (Insert, InsertKeyed, Delete, DeleteKeyed) and every
+	// id-renumbering GC swap holds it shared, so the index's Snapshot can
+	// quiesce all shards at one instant by holding it exclusively.
 	barrier *sync.RWMutex
 
 	// mergeMu serializes compaction merges; see the type comment.
@@ -136,42 +134,21 @@ type DynamicIndex[P any] struct {
 	wg        sync.WaitGroup
 
 	// store is the durability attachment (WAL + segment files + manifest);
-	// nil for a purely in-memory index. Mutators call its log methods
+	// nil for a purely in-memory shard. Mutators call its log methods
 	// inside their mu critical sections, so WAL order is apply order.
 	store *store[P]
 
-	// stripe is this index's metrics stripe, drawn once at construction;
-	// shards of a ShardedIndex record write-path metrics onto distinct
-	// counter cache lines.
+	// stripe is this shard's metrics stripe, drawn once at construction,
+	// so shards record write-path metrics onto distinct counter cache
+	// lines.
 	stripe uint32
 }
 
-// NewDynamic builds a dynamic index over the initial points (which become
-// one frozen segment with global ids 0..len-1) with L repetitions of the
-// family. It consumes rng exactly like New — L Sample calls — so a static
-// and a dynamic index built from generators with the same seed share their
-// repetition draws.
-func NewDynamic[P any](rng *xrand.Rand, family core.Family[P], L int, points []P, opts DynamicOptions) *DynamicIndex[P] {
-	if family == nil {
-		panic("index: family must be non-nil")
-	}
-	if L <= 0 {
-		panic("index: repetitions must be positive")
-	}
-	pairs := make([]core.Pair[P], L)
-	for i := range pairs {
-		pairs[i] = family.Sample(rng)
-	}
-	return newDynamicFromPairs(pairs, negHashers(pairs), points, opts)
-}
-
-// newDynamicFromPairs builds a dynamic index around already-sampled
-// repetition draws. It is the shared constructor tail of NewDynamic and
-// NewSharded: a ShardedIndex hands the same pairs slice to every shard, so
-// a query hashes once per repetition and probes every shard with the same
-// key.
-func newDynamicFromPairs[P any](pairs []core.Pair[P], negG []negQueryHasher, points []P, opts DynamicOptions) *DynamicIndex[P] {
-	dx := newDynamicShell(pairs, negG, opts)
+// newShard builds a shard over the initial points (which become one
+// frozen segment with ids 0..len-1) and starts its background compactor
+// when the options ask for one.
+func newShard[P any](pairs []core.Pair[P], barrier *sync.RWMutex, points []P, opts DynamicOptions) *shard[P] {
+	dx := newShardShell(pairs, barrier, opts)
 	dx.points = append([]P(nil), points...)
 	dx.live = len(points)
 	if len(dx.points) > 0 {
@@ -185,19 +162,20 @@ func newDynamicFromPairs[P any](pairs []core.Pair[P], negG []negQueryHasher, poi
 	return dx
 }
 
-// newDynamicShell builds an empty index around already-sampled repetition
-// draws without starting the background compactor — the shared skeleton of
-// every constructor. Durable recovery needs the split: replay must finish
-// (single-threaded, unpublished) before any goroutine can touch the index.
-func newDynamicShell[P any](pairs []core.Pair[P], negG []negQueryHasher, opts DynamicOptions) *DynamicIndex[P] {
-	dx := &DynamicIndex[P]{
-		opts:   opts.withDefaults(),
-		stripe: obs.NextStripe(),
+// newShardShell builds an empty shard without starting the background
+// compactor — the shared skeleton of every constructor. Durable recovery
+// needs the split: replay must finish (single-threaded, unpublished)
+// before any goroutine can touch the shard.
+func newShardShell[P any](pairs []core.Pair[P], barrier *sync.RWMutex, opts DynamicOptions) *shard[P] {
+	dx := &shard[P]{
+		pairs:   pairs,
+		opts:    opts.withDefaults(),
+		barrier: barrier,
+		stripe:  obs.NextStripe(),
 	}
-	dx.bind(dx, pairs, negG)
 	dx.mem = newMemtable(len(pairs), dx.opts.MemtableThreshold)
 	dx.keyBufs.New = func() any {
-		buf := make([]uint64, len(dx.pairs))
+		buf := make([]uint64, len(pairs))
 		return &buf
 	}
 	return dx
@@ -205,7 +183,7 @@ func newDynamicShell[P any](pairs []core.Pair[P], negG []negQueryHasher, opts Dy
 
 // startCompactor starts the background compactor when the options ask for
 // one. Idempotent; called once from each constructor path.
-func (dx *DynamicIndex[P]) startCompactor() {
+func (dx *shard[P]) startCompactor() {
 	if !dx.opts.BackgroundCompaction || dx.compactCh != nil {
 		return
 	}
@@ -218,17 +196,17 @@ func (dx *DynamicIndex[P]) startCompactor() {
 // Len returns the number of live (inserted and not deleted) points. It
 // takes the structural read-lock briefly and is safe for concurrent use,
 // including during compactions and freezes.
-func (dx *DynamicIndex[P]) Len() int {
+func (dx *shard[P]) Len() int {
 	dx.mu.RLock()
 	defer dx.mu.RUnlock()
 	return dx.live
 }
 
-// Point returns the point stored under the given global id. It remains
+// Point returns the point stored under the given id. It remains
 // valid for deleted ids (points are retained until their segment is
 // compacted; the stored value is retained forever). It takes the
 // structural read-lock briefly and is safe for concurrent use.
-func (dx *DynamicIndex[P]) Point(id int) P {
+func (dx *shard[P]) Point(id int) P {
 	dx.mu.RLock()
 	defer dx.mu.RUnlock()
 	return dx.points[id]
@@ -236,31 +214,13 @@ func (dx *DynamicIndex[P]) Point(id int) P {
 
 // Deleted reports whether id has been deleted. It takes the structural
 // read-lock briefly and is safe for concurrent use.
-func (dx *DynamicIndex[P]) Deleted(id int) bool {
+func (dx *shard[P]) Deleted(id int) bool {
 	dx.mu.RLock()
 	defer dx.mu.RUnlock()
 	return dx.dead.Get(id)
 }
 
-// Segments returns the current number of frozen segments. It takes the
-// structural read-lock briefly; concurrent freezes and merges may move
-// the count at any moment.
-func (dx *DynamicIndex[P]) Segments() int {
-	dx.mu.RLock()
-	defer dx.mu.RUnlock()
-	return len(dx.segments)
-}
-
-// MemtableLen returns the number of points buffered in the live memtable.
-// It takes the structural read-lock briefly and is safe for concurrent
-// use.
-func (dx *DynamicIndex[P]) MemtableLen() int {
-	dx.mu.RLock()
-	defer dx.mu.RUnlock()
-	return dx.mem.len()
-}
-
-// Insert adds a point and returns its stable global id. The point lands in
+// Insert adds a point and returns its stable id. The point lands in
 // the memtable; when the buffer reaches MemtableThreshold it is frozen
 // into a new immutable segment (and the background compactor, if enabled,
 // is nudged once the segment count exceeds MaxSegments).
@@ -270,24 +230,20 @@ func (dx *DynamicIndex[P]) MemtableLen() int {
 // crossing Insert builds the segment inline while holding the lock — size
 // MemtableThreshold to bound that stall, or call Flush at quiet moments to
 // schedule it explicitly.
-func (dx *DynamicIndex[P]) Insert(p P) int {
+func (dx *shard[P]) Insert(p P) int {
 	kb := dx.keyBufs.Get().(*[]uint64)
 	keys := *kb
 	for i, pair := range dx.pairs {
 		keys[i] = pair.H.Hash(p)
 	}
-	if dx.barrier != nil {
-		dx.barrier.RLock()
-	}
+	dx.barrier.RLock()
 	dx.mu.Lock()
 	if dx.store != nil {
 		dx.store.logInsert(dx, p, keys)
 	}
 	id, needMerge := dx.insertLocked(p, keys)
 	dx.mu.Unlock()
-	if dx.barrier != nil {
-		dx.barrier.RUnlock()
-	}
+	dx.barrier.RUnlock()
 	dx.keyBufs.Put(kb)
 	mInserts.Inc(dx.stripe)
 	mWriteHashEvals.Add(dx.stripe, uint64(len(dx.pairs)))
@@ -297,12 +253,12 @@ func (dx *DynamicIndex[P]) Insert(p P) int {
 	return int(id)
 }
 
-// insertLocked appends p under a fresh global id and buffers it in the
-// memtable, handling the threshold crossing. Callers hold mu exclusively
-// (and the shard barrier shared, when one exists); keys are the L
+// insertLocked appends p under a fresh id and buffers it in the memtable,
+// handling the threshold crossing. Callers hold mu exclusively (and the
+// barrier shared, except during recovery replay); keys are the L
 // pre-computed data-side hashes of p. It reports the new id and whether
 // the caller should nudge the background compactor after unlocking.
-func (dx *DynamicIndex[P]) insertLocked(p P, keys []uint64) (int32, bool) {
+func (dx *shard[P]) insertLocked(p P, keys []uint64) (int32, bool) {
 	id := int32(len(dx.points))
 	dx.points = append(dx.points, p)
 	dx.mem.insert(id, keys)
@@ -314,22 +270,20 @@ func (dx *DynamicIndex[P]) insertLocked(p P, keys []uint64) (int32, bool) {
 	return id, false
 }
 
-// InsertKeyed upserts a point under an external key and returns the global
-// id of the new version. When the key already maps to a live point, that
+// InsertKeyed upserts a point under an external key and returns the id of
+// the new version. When the key already maps to a live point, that
 // previous version is tombstoned and the new one inserted in the same
 // critical section, so queries never see both (or neither) version of a
 // key. The returned id is the point's current identity for Delete/Point,
 // but under CompactLeveled ids are renumbered by GC merges — the key is
 // the durable handle; use LookupKey to recover the current id.
-func (dx *DynamicIndex[P]) InsertKeyed(key uint64, p P) int {
+func (dx *shard[P]) InsertKeyed(key uint64, p P) int {
 	kb := dx.keyBufs.Get().(*[]uint64)
 	keys := *kb
 	for i, pair := range dx.pairs {
 		keys[i] = pair.H.Hash(p)
 	}
-	if dx.barrier != nil {
-		dx.barrier.RLock()
-	}
+	dx.barrier.RLock()
 	dx.mu.Lock()
 	if dx.store != nil {
 		dx.store.logInsertKeyed(dx, key, p, keys)
@@ -345,9 +299,7 @@ func (dx *DynamicIndex[P]) InsertKeyed(key uint64, p P) int {
 	}
 	dx.keyed[key] = id
 	dx.mu.Unlock()
-	if dx.barrier != nil {
-		dx.barrier.RUnlock()
-	}
+	dx.barrier.RUnlock()
 	dx.keyBufs.Put(kb)
 	mUpserts.Inc(dx.stripe)
 	mWriteHashEvals.Add(dx.stripe, uint64(len(dx.pairs)))
@@ -361,11 +313,9 @@ func (dx *DynamicIndex[P]) InsertKeyed(key uint64, p P) int {
 // key, reporting whether a live version existed. The key's mapping is
 // removed either way, so a later InsertKeyed under the same key starts
 // fresh.
-func (dx *DynamicIndex[P]) DeleteKeyed(key uint64) bool {
-	if dx.barrier != nil {
-		dx.barrier.RLock()
-		defer dx.barrier.RUnlock()
-	}
+func (dx *shard[P]) DeleteKeyed(key uint64) bool {
+	dx.barrier.RLock()
+	defer dx.barrier.RUnlock()
 	dx.mu.Lock()
 	defer dx.mu.Unlock()
 	id, ok := dx.keyed[key]
@@ -386,10 +336,10 @@ func (dx *DynamicIndex[P]) DeleteKeyed(key uint64) bool {
 	return true
 }
 
-// LookupKey returns the current global id of the live point inserted under
+// LookupKey returns the current id of the live point inserted under
 // key, if any. Under CompactLeveled the id is only guaranteed current
 // until the next GC merge; re-resolve after observing an Epoch change.
-func (dx *DynamicIndex[P]) LookupKey(key uint64) (int, bool) {
+func (dx *shard[P]) LookupKey(key uint64) (int, bool) {
 	dx.mu.RLock()
 	defer dx.mu.RUnlock()
 	id, ok := dx.keyed[key]
@@ -399,14 +349,12 @@ func (dx *DynamicIndex[P]) LookupKey(key uint64) (int, bool) {
 	return int(id), true
 }
 
-// Delete tombstones the point with the given global id, reporting whether
+// Delete tombstones the point with the given id, reporting whether
 // it was live. The point disappears from query results immediately and
 // from the underlying tables at the next merge covering its segment.
-func (dx *DynamicIndex[P]) Delete(id int) bool {
-	if dx.barrier != nil {
-		dx.barrier.RLock()
-		defer dx.barrier.RUnlock()
-	}
+func (dx *shard[P]) Delete(id int) bool {
+	dx.barrier.RLock()
+	defer dx.barrier.RUnlock()
 	dx.mu.Lock()
 	defer dx.mu.Unlock()
 	if id < 0 || id >= len(dx.points) || dx.dead.Get(id) {
@@ -422,11 +370,11 @@ func (dx *DynamicIndex[P]) Delete(id int) bool {
 	return true
 }
 
-// GCStats reports the index's tombstone occupancy and leveled-GC progress.
+// GCStats reports the shard's tombstone occupancy and leveled-GC progress.
 // It takes the structural read-lock briefly and is safe for concurrent
 // use; DeadRows is exact at that instant (rows still in some layer's
 // tables minus the live count).
-func (dx *DynamicIndex[P]) GCStats() GCStats {
+func (dx *shard[P]) GCStats() GCStats {
 	dx.mu.RLock()
 	defer dx.mu.RUnlock()
 	rows := dx.mem.len()
@@ -442,14 +390,14 @@ func (dx *DynamicIndex[P]) GCStats() GCStats {
 	}
 }
 
-// Epoch returns the index's mutation epoch: a counter advanced by every
+// Epoch returns the shard's mutation epoch: a counter advanced by every
 // Insert and every successful Delete (structural rewrites — freezes,
 // merges — preserve the live set and do not advance it, except a leveled
 // GC merge that drops rows, which renumbers ids and advances it once).
-// Comparing it with Snapshot.Epoch tells whether a snapshot is stale.
-// Epoch takes the structural read-lock briefly and is safe for concurrent
+// Comparing it with a pin's epoch tells whether the pin is stale. Epoch
+// takes the structural read-lock briefly and is safe for concurrent
 // use.
-func (dx *DynamicIndex[P]) Epoch() uint64 {
+func (dx *shard[P]) Epoch() uint64 {
 	dx.mu.RLock()
 	defer dx.mu.RUnlock()
 	return dx.epoch
@@ -457,10 +405,10 @@ func (dx *DynamicIndex[P]) Epoch() uint64 {
 
 // freezeLocked turns a non-empty memtable into a new segment in place and
 // reports whether the caller should nudge the background compactor after
-// unlocking. bySnapshot marks the freezes a Snapshot forces, counted in
+// unlocking. bySnapshot marks the freezes a pin forces, counted in
 // dsh_freezes_async_total; every other freeze counts as inline. Callers
 // hold mu exclusively.
-func (dx *DynamicIndex[P]) freezeLocked(bySnapshot bool) bool {
+func (dx *shard[P]) freezeLocked(bySnapshot bool) bool {
 	rows := dx.mem.len()
 	if rows == 0 {
 		return false
@@ -481,11 +429,11 @@ func (dx *DynamicIndex[P]) freezeLocked(bySnapshot bool) bool {
 }
 
 // freshMemtableLocked replaces the live memtable with an empty one; on a
-// durable index the replacement is stamped with the current WAL end, the
+// durable shard the replacement is stamped with the current WAL end, the
 // position of the first record it could ever buffer. Callers hold mu
 // exclusively. During durable replay (store still nil) the stamp is
 // deferred: the first replayed row carries its own log position.
-func (dx *DynamicIndex[P]) freshMemtableLocked() {
+func (dx *shard[P]) freshMemtableLocked() {
 	dx.mem = newMemtable(len(dx.pairs), dx.opts.MemtableThreshold)
 	if dx.store != nil {
 		dx.mem.walStart = dx.store.wal.End()
@@ -495,7 +443,7 @@ func (dx *DynamicIndex[P]) freshMemtableLocked() {
 // Flush freezes the memtable into a segment immediately, regardless of
 // the threshold. Useful before read-heavy phases: frozen probes are
 // cheaper than map probes.
-func (dx *DynamicIndex[P]) Flush() {
+func (dx *shard[P]) Flush() {
 	dx.mu.Lock()
 	needMerge := dx.freezeLocked(false)
 	dx.mu.Unlock()
@@ -505,38 +453,18 @@ func (dx *DynamicIndex[P]) Flush() {
 }
 
 // nudgeCompactor pokes the background compactor without blocking.
-func (dx *DynamicIndex[P]) nudgeCompactor() {
+func (dx *shard[P]) nudgeCompactor() {
 	select {
 	case dx.compactCh <- struct{}{}:
 	default:
 	}
 }
 
-// candidateSource implementation. A query's read window is one shared
-// acquisition of mu: appendCandidates and srcPoint run under it, so every
-// query sees one consistent layer list and tombstone state.
-
-func (dx *DynamicIndex[P]) beginRead() int {
-	dx.mu.RLock()
-	return len(dx.points)
-}
-
-func (dx *DynamicIndex[P]) endRead() { dx.mu.RUnlock() }
-
-// srcPoint runs inside a beginRead window (mu held shared), so it reads
-// the points array directly; Point is the self-locking public variant.
-func (dx *DynamicIndex[P]) srcPoint(id int) P { return dx.points[id] }
-
-func (dx *DynamicIndex[P]) appendCandidates(rep int, key uint64, dst []int32) ([]int32, int) {
-	probes := 0
-	for _, seg := range dx.segments {
-		probes++
-		for _, local := range seg.lookup(rep, key) {
-			if id := seg.globalIDs[local]; !dx.dead.Get(int(id)) {
-				dst = append(dst, id)
-			}
-		}
-	}
+// appendCandidates appends the live ids colliding with key in repetition
+// rep, oldest layer first, and returns the extended slice plus the number
+// of layers probed. The caller holds mu shared for the whole query.
+func (dx *shard[P]) appendCandidates(rep int, key uint64, dst []int32) ([]int32, int) {
+	dst, probes := appendSegmentCandidates(dx.segments, &dx.dead, rep, key, dst)
 	if dx.mem.len() > 0 {
 		probes++
 		mem := dx.mem
@@ -551,7 +479,7 @@ func (dx *DynamicIndex[P]) appendCandidates(rep int, key uint64, dst []int32) ([
 
 // backgroundCompactor merges segments whenever a freeze pushes the count
 // past MaxSegments, following opts.Policy. It runs until Close.
-func (dx *DynamicIndex[P]) backgroundCompactor() {
+func (dx *shard[P]) backgroundCompactor() {
 	defer dx.wg.Done()
 	for {
 		select {
@@ -565,7 +493,7 @@ func (dx *DynamicIndex[P]) backgroundCompactor() {
 
 // autoCompact applies the configured policy until the segment count is
 // within MaxSegments or the policy has no productive merge left.
-func (dx *DynamicIndex[P]) autoCompact() {
+func (dx *shard[P]) autoCompact() {
 	for {
 		dx.mu.RLock()
 		over := len(dx.segments) > dx.opts.MaxSegments
@@ -584,19 +512,17 @@ func (dx *DynamicIndex[P]) autoCompact() {
 }
 
 // Close stops the background compactor, if one was started, and — for a
-// durable index — seals the on-disk state: the memtable is frozen, a
-// final checkpoint (segments + manifest) is written, and the
-// WAL is synced and closed. After a clean Close, OpenDynamic recovers
-// the exact live set without replaying any log tail.
+// durable shard — seals the on-disk state: the memtable is frozen, a
+// final checkpoint (segments + manifest) is written, and the WAL is
+// synced and closed. After a clean Close, OpenSharded recovers the exact
+// live set without replaying any log tail.
 //
 // Close is idempotent and safe to call concurrently with queries and
-// mutations (concurrent Close calls seal exactly once). It does not
-// invalidate the index: queries and mutations keep working and Compact
-// remains explicitly callable — but mutations that land after the seal
-// are in-memory only and latch ErrNotJournaled in DurableErr. Durable
-// failures during the final checkpoint also surface via DurableErr, not
-// from Close itself.
-func (dx *DynamicIndex[P]) Close() {
+// mutations (concurrent Close calls seal exactly once). Mutations that
+// land after the seal are in-memory only and latch ErrNotJournaled in
+// DurableErr. Durable failures during the final checkpoint also surface
+// via DurableErr, not from Close itself.
+func (dx *shard[P]) Close() {
 	if dx.compactCh != nil {
 		dx.closeOnce.Do(func() {
 			close(dx.closed)

@@ -19,7 +19,7 @@ func BenchmarkDynamicInsert(b *testing.B) {
 	rng := xrand.New(91)
 	const d, L = 24, 24
 	pts := workload.SpherePoints(rng, 4096, d)
-	dx := NewDynamic[[]float64](xrand.New(92), dynamicFamily(), L, nil,
+	dx := newOneShard[[]float64](xrand.New(92), dynamicFamily(), L, nil,
 		DynamicOptions{MemtableThreshold: 1024})
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -32,7 +32,7 @@ func BenchmarkDynamicQueryAfterCompact(b *testing.B) {
 	rng := xrand.New(93)
 	const d, n, L = 24, 20000, 24
 	pts := workload.SpherePoints(rng, n, d)
-	dx := NewDynamic(xrand.New(94), dynamicFamily(), L, pts[:n/2],
+	dx := newOneShard(xrand.New(94), dynamicFamily(), L, pts[:n/2],
 		DynamicOptions{MemtableThreshold: 2048})
 	for _, p := range pts[n/2:] {
 		dx.Insert(p)
@@ -58,7 +58,7 @@ func BenchmarkDynamicQueryPreCompact(b *testing.B) {
 	rng := xrand.New(95)
 	const d, n, L = 24, 20000, 24
 	pts := workload.SpherePoints(rng, n, d)
-	dx := NewDynamic(xrand.New(96), dynamicFamily(), L, pts[:n/2],
+	dx := newOneShard(xrand.New(96), dynamicFamily(), L, pts[:n/2],
 		DynamicOptions{MemtableThreshold: 2048})
 	for _, p := range pts[n/2:] {
 		dx.Insert(p)

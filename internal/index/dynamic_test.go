@@ -18,11 +18,18 @@ func dynamicFamily() core.Family[[]float64] {
 	return core.Power[[]float64](sphere.SimHash(testDim), 4)
 }
 
+// newOneShard builds the one-shard ShardedIndex — the mutable index with
+// K=1, whose ids and candidate order are a static Index's — that the
+// single-store tests drive.
+func newOneShard[P any](rng *xrand.Rand, fam core.Family[P], L int, points []P, opts DynamicOptions) *ShardedIndex[P] {
+	return NewSharded(rng, fam, L, points, ShardOptions{Shards: 1, Dynamic: opts})
+}
+
 // churnDynamic applies a deterministic random interleaving of inserts,
 // deletes, flushes and compactions to dx, drawing fresh points from rng.
 // It returns the surviving points in global-id order together with the
 // global id of each survivor.
-func churnDynamic(t *testing.T, rng *xrand.Rand, dx *DynamicIndex[[]float64], ops int) (survivors [][]float64, ids []int) {
+func churnDynamic(t *testing.T, rng *xrand.Rand, dx *ShardedIndex[[]float64], ops int) (survivors [][]float64, ids []int) {
 	t.Helper()
 	var inserted []int
 	for i := 0; i < dx.Len(); i++ {
@@ -60,7 +67,7 @@ func churnDynamic(t *testing.T, rng *xrand.Rand, dx *DynamicIndex[[]float64], op
 
 // TestDynamicMatchesStaticAfterChurn is the differential property test of
 // the subsystem: after an arbitrary interleaving of inserts, deletes,
-// flushes and compactions, a DynamicIndex must return exactly the
+// flushes and compactions, a one-shard index must return exactly the
 // candidates of a static Index rebuilt over the surviving points with the
 // same rng stream — in the same order, because segments hold disjoint
 // ascending global-id ranges, so the per-repetition candidate stream walks
@@ -71,7 +78,7 @@ func TestDynamicMatchesStaticAfterChurn(t *testing.T) {
 		const L = 18
 		initial := workload.SpherePoints(xrand.New(seed*100), 120, testDim)
 
-		dx := NewDynamic(xrand.New(seed), fam, L, initial, DynamicOptions{MemtableThreshold: 40})
+		dx := newOneShard(xrand.New(seed), fam, L, initial, DynamicOptions{MemtableThreshold: 40})
 		survivors, ids := churnDynamic(t, xrand.New(seed*777), dx, 500)
 
 		if dx.Len() != len(survivors) {
@@ -125,7 +132,7 @@ func TestDynamicMatchesStaticAfterChurn(t *testing.T) {
 func TestDynamicInsertDeleteSemantics(t *testing.T) {
 	rng := xrand.New(3)
 	pts := workload.SpherePoints(rng, 10, testDim)
-	dx := NewDynamic(xrand.New(4), dynamicFamily(), 8, pts[:5], DynamicOptions{})
+	dx := newOneShard(xrand.New(4), dynamicFamily(), 8, pts[:5], DynamicOptions{})
 	for i, p := range pts[5:] {
 		if id := dx.Insert(p); id != 5+i {
 			t.Fatalf("Insert returned id %d, want %d", id, 5+i)
@@ -175,7 +182,7 @@ func TestDynamicInsertDeleteSemantics(t *testing.T) {
 func TestDynamicQueryBatchMatchesSequential(t *testing.T) {
 	rng := xrand.New(5)
 	pts := workload.SpherePoints(rng, 300, testDim)
-	dx := NewDynamic(xrand.New(6), dynamicFamily(), 16, pts[:200], DynamicOptions{MemtableThreshold: 64})
+	dx := newOneShard(xrand.New(6), dynamicFamily(), 16, pts[:200], DynamicOptions{MemtableThreshold: 64})
 	for _, p := range pts[200:] {
 		dx.Insert(p)
 	}
@@ -211,7 +218,7 @@ func TestDynamicQueryBatchMatchesSequential(t *testing.T) {
 func TestDynamicConcurrentQueryCompact(t *testing.T) {
 	rng := xrand.New(7)
 	pts := workload.SpherePoints(rng, 400, testDim)
-	dx := NewDynamic(xrand.New(8), dynamicFamily(), 12, pts[:100],
+	dx := newOneShard(xrand.New(8), dynamicFamily(), 12, pts[:100],
 		DynamicOptions{MemtableThreshold: 32, MaxSegments: 2, BackgroundCompaction: true})
 	defer dx.Close()
 
@@ -271,7 +278,7 @@ func TestDynamicConcurrentQueryCompact(t *testing.T) {
 func TestDynamicSteadyStateZeroAlloc(t *testing.T) {
 	rng := xrand.New(11)
 	pts := workload.SpherePoints(rng, 2000, testDim)
-	dx := NewDynamic(xrand.New(12), dynamicFamily(), 24, pts[:1500], DynamicOptions{MemtableThreshold: 200})
+	dx := newOneShard(xrand.New(12), dynamicFamily(), 24, pts[:1500], DynamicOptions{MemtableThreshold: 200})
 	for _, p := range pts[1500:] {
 		dx.Insert(p)
 	}
@@ -292,7 +299,7 @@ func TestDynamicSteadyStateZeroAlloc(t *testing.T) {
 
 func TestDynamicBackgroundCompaction(t *testing.T) {
 	rng := xrand.New(13)
-	dx := NewDynamic[[]float64](xrand.New(14), dynamicFamily(), 8, nil,
+	dx := newOneShard[[]float64](xrand.New(14), dynamicFamily(), 8, nil,
 		DynamicOptions{MemtableThreshold: 16, MaxSegments: 3, BackgroundCompaction: true})
 	defer dx.Close()
 	for i := 0; i < 2000; i++ {
@@ -315,7 +322,7 @@ func TestDynamicBackgroundCompaction(t *testing.T) {
 }
 
 func TestDynamicEmptyAndMemtableOnly(t *testing.T) {
-	dx := NewDynamic[[]float64](xrand.New(15), dynamicFamily(), 6, nil, DynamicOptions{})
+	dx := newOneShard[[]float64](xrand.New(15), dynamicFamily(), 6, nil, DynamicOptions{})
 	q := workload.SpherePoints(xrand.New(16), 1, testDim)[0]
 	if got := dx.CollectDistinct(q, 0); len(got) != 0 {
 		t.Fatalf("empty index returned candidates %v", got)

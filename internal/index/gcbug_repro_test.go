@@ -18,10 +18,10 @@ import (
 func TestReproGCHoleRenumbering(t *testing.T) {
 	rng := xrand.New(99)
 	pts := workload.SpherePoints(rng, 12, testDim)
-	dx := NewDynamic(xrand.New(7), dynamicFamily(), 8, nil, DynamicOptions{
+	dx := NewSharded(xrand.New(7), dynamicFamily(), 8, nil, ShardOptions{Shards: 1, Routing: RouteHash, Dynamic: DynamicOptions{
 		MemtableThreshold: 4,
 		Policy:            CompactLeveled,
-	})
+	}})
 	for i, p := range pts {
 		dx.InsertKeyed(uint64(i), p)
 	}
@@ -31,7 +31,7 @@ func TestReproGCHoleRenumbering(t *testing.T) {
 	// Tombstone a row in an upper segment, then fold the upper level:
 	// the dead row is dropped from the tables, id space keeps a hole.
 	dx.DeleteKeyed(5)
-	if !dx.compactUpperStep() {
+	if !dx.shards[0].compactUpperStep() {
 		t.Fatal("upper step did not merge")
 	}
 	epochBefore := dx.Epoch()

@@ -6,24 +6,25 @@
 // per-repetition key probe plus tombstone-aware candidate iteration under
 // stable point ids — and embeds readPath, which holds the repetition
 // draws and the Querier pool and declares the shared query surface
-// (CollectDistinct, Candidates, QueryBatch, NewQuerier) once. Five
+// (CollectDistinct, Candidates, QueryBatch, NewQuerier) once. Three
 // backends implement it:
 //
 //   - Index: the frozen flat-table backend (table.go) — each repetition is
 //     an open-addressed key array plus a CSR id array built once at
 //     construction, so a probe is one hash, a short linear scan, and one
 //     contiguous []int32 slice.
-//   - DynamicIndex (dynamic.go, memtable.go, segment.go, compact.go): the
-//     mutable, LSM-style backend for churning workloads — a map-layout
-//     memtable absorbs inserts, immutable flat-table segments hold frozen
-//     points, a tombstone bitmap records deletes, and compaction merges
-//     retained key columns without re-evaluating any hash function.
-//   - ShardedIndex (shard.go): K independent DynamicIndex shards sharing
-//     one set of repetition draws, partitioned by global id, so
-//     multi-writer ingest never contends on a single lock.
-//   - Snapshot / ShardedSnapshot (snapshot.go, shard.go): immutable
-//     point-in-time views of the dynamic backends for lock-free,
-//     snapshot-isolated scans and queries while the live index mutates.
+//   - ShardedIndex (shard.go): the mutable, LSM-style backend for churning
+//     workloads — K independent shards sharing one set of repetition
+//     draws, partitioned by global id, so multi-writer ingest never
+//     contends on a single lock. Each shard (dynamic.go, memtable.go,
+//     segment.go, compact.go) absorbs inserts in a map-layout memtable,
+//     holds frozen points in immutable flat-table segments, records
+//     deletes in a tombstone bitmap, and compacts by merging retained key
+//     columns without re-evaluating any hash function. With K=1 its ids
+//     and candidate order are a static Index's over the live points.
+//   - ShardedSnapshot (shard.go, snapshot.go): an immutable point-in-time
+//     view of every shard for lock-free, snapshot-isolated scans and
+//     queries while the live index mutates.
 //
 // The query structures are veneers written once over that core and served
 // by any backend (veneer.go):
@@ -154,8 +155,8 @@ func (ix *Index[P]) appendCandidates(rep int, key uint64, dst []int32) ([]int32,
 type QueryStats struct {
 	// Probes is the number of hash-table bucket lookups performed: one per
 	// repetition per storage layer probed. A static Index probes one table
-	// per repetition; a DynamicIndex probes every segment and the live
-	// memtable (an empty memtable is skipped), so Probes surfaces the
+	// per repetition; a ShardedIndex probes every shard's segments and
+	// live memtable (an empty memtable is skipped), so Probes surfaces the
 	// layering cost that compaction removes.
 	Probes int
 	// Candidates is the total number of live candidate ids scanned,

@@ -117,8 +117,6 @@ func TestConstructorValidationMessages(t *testing.T) {
 	mustPanicMessage(t, badFam, func() { NewAnnulus[[]float64](rng(), nil, 4, nil, within) })
 	mustPanicMessage(t, badL, func() { NewRangeReporter(rng(), fam, 0, nil, within) })
 	mustPanicMessage(t, badFam, func() { NewRangeReporter[[]float64](rng(), nil, 4, nil, within) })
-	mustPanicMessage(t, badL, func() { NewDynamic(rng(), fam, 0, nil, DynamicOptions{}) })
-	mustPanicMessage(t, badFam, func() { NewDynamic[[]float64](rng(), nil, 4, nil, DynamicOptions{}) })
 }
 
 func withinSim(lo, hi float64) func(q, x []float64) bool {

@@ -9,14 +9,15 @@ import (
 	"dsh/internal/xrand"
 )
 
-// TestKeyedInsertSemantics pins the upsert contract of the DynamicIndex
-// keyed write path: re-inserting a key tombstones the previous version and
-// installs the new one atomically, DeleteKeyed removes the newest version,
-// and LookupKey always resolves to the latest live version.
+// TestKeyedInsertSemantics pins the upsert contract of the keyed write
+// path on a one-shard index: re-inserting a key tombstones the previous
+// version and installs the new one atomically, DeleteKeyed removes the
+// newest version, and LookupKey always resolves to the latest live
+// version.
 func TestKeyedInsertSemantics(t *testing.T) {
 	rng := xrand.New(11)
 	pts := workload.SpherePoints(rng, 8, testDim)
-	dx := NewDynamic(xrand.New(12), dynamicFamily(), 8, nil, DynamicOptions{})
+	dx := NewSharded[[]float64](xrand.New(12), dynamicFamily(), 8, nil, ShardOptions{Shards: 1, Routing: RouteHash})
 
 	id0 := dx.InsertKeyed(42, pts[0])
 	if got, ok := dx.LookupKey(42); !ok || got != id0 {
@@ -220,7 +221,7 @@ func TestKeyedUpsertMatchesStaticRebuild(t *testing.T) {
 }
 
 // TestLeveledGCMatchesStaticRebuild checks the id-renumbering contract of
-// the bottom-level GC merge on a single DynamicIndex: after churn and a GC
+// the bottom-level GC merge on a one-shard index: after churn and a GC
 // compaction, survivors occupy the dense id space 0..S-1 in insertion
 // order, so candidate streams equal a static rebuild over the survivors
 // directly — no id mapping at all. A mid-churn GC exercises churn
@@ -230,7 +231,7 @@ func TestLeveledGCMatchesStaticRebuild(t *testing.T) {
 		fam := dynamicFamily()
 		const L = 18
 		initial := workload.SpherePoints(xrand.New(seed*100), 100, testDim)
-		dx := NewDynamic(xrand.New(seed), fam, L, initial,
+		dx := newOneShard(xrand.New(seed), fam, L, initial,
 			DynamicOptions{MemtableThreshold: 40, Policy: CompactLeveled})
 
 		mrng := xrand.New(seed * 777)
@@ -308,7 +309,7 @@ func TestLeveledGCMatchesStaticRebuild(t *testing.T) {
 // tombstone-bitmap storage — dead/live < 10% post-GC, a strictly smaller
 // bitmap, and non-zero reclamation counters.
 func TestLeveledGCBoundsDeadRows(t *testing.T) {
-	dx := NewDynamic(xrand.New(21), dynamicFamily(), 8, nil,
+	dx := newOneShard(xrand.New(21), dynamicFamily(), 8, nil,
 		DynamicOptions{MemtableThreshold: 128, Policy: CompactLeveled})
 	mrng := xrand.New(22)
 
@@ -324,7 +325,7 @@ func TestLeveledGCBoundsDeadRows(t *testing.T) {
 		}
 		if op%500 == 499 {
 			// Drive the policy the way the background compactor would.
-			for dx.compactLeveledStep() {
+			for dx.shards[0].compactLeveledStep() {
 			}
 			st := dx.GCStats()
 			// CollectedRows moves only when a GC merge dropped rows — and
@@ -380,7 +381,7 @@ func TestLeveledGCBoundsDeadRows(t *testing.T) {
 // ids do not move, and every query answer is preserved.
 func TestLeveledUpperMergeStep(t *testing.T) {
 	initial := workload.SpherePoints(xrand.New(31), 600, testDim)
-	dx := NewDynamic(xrand.New(32), dynamicFamily(), 10, initial,
+	dx := newOneShard(xrand.New(32), dynamicFamily(), 10, initial,
 		DynamicOptions{MemtableThreshold: 1 << 20, Policy: CompactLeveled})
 	mrng := xrand.New(33)
 	for b := 0; b < 3; b++ {
@@ -392,7 +393,7 @@ func TestLeveledUpperMergeStep(t *testing.T) {
 	if got := dx.Segments(); got != 4 {
 		t.Fatalf("setup produced %d segments, want 4", got)
 	}
-	bottom := dx.segments[0]
+	bottom := dx.shards[0].segments[0]
 
 	queries := workload.SpherePoints(xrand.New(34), 16, testDim)
 	before := make([][]int, len(queries))
@@ -400,13 +401,13 @@ func TestLeveledUpperMergeStep(t *testing.T) {
 		before[i] = dx.CollectDistinct(q, 0)
 	}
 
-	if !dx.compactUpperStep() {
+	if !dx.shards[0].compactUpperStep() {
 		t.Fatal("compactUpperStep = false with three upper segments")
 	}
 	if got := dx.Segments(); got != 2 {
 		t.Fatalf("upper merge left %d segments, want 2", got)
 	}
-	if dx.segments[0] != bottom {
+	if dx.shards[0].segments[0] != bottom {
 		t.Fatal("upper merge rewrote the bottom segment")
 	}
 	for i, q := range queries {
@@ -415,18 +416,18 @@ func TestLeveledUpperMergeStep(t *testing.T) {
 		}
 	}
 	// With nothing left to fold and no garbage pressure, the policy rests.
-	if dx.compactUpperStep() {
+	if dx.shards[0].compactUpperStep() {
 		t.Fatal("compactUpperStep reported work with a single upper segment")
 	}
 }
 
 // TestLeveledSteadyStateZeroAlloc pins the allocation contract on the new
-// paths: after a GC compaction, warmed queriers on a leveled DynamicIndex
-// and on a hash-routed leveled ShardedIndex perform no heap allocations
-// per query.
+// paths: after a GC compaction, warmed queriers on a leveled one-shard
+// index and on a hash-routed leveled four-shard index perform no heap
+// allocations per query.
 func TestLeveledSteadyStateZeroAlloc(t *testing.T) {
 	pts := workload.SpherePoints(xrand.New(41), 600, testDim)
-	dx := NewDynamic(xrand.New(42), dynamicFamily(), 10, pts[:300],
+	dx := newOneShard(xrand.New(42), dynamicFamily(), 10, pts[:300],
 		DynamicOptions{MemtableThreshold: 64, Policy: CompactLeveled})
 	for i, p := range pts[300:500] {
 		id := dx.Insert(p)
@@ -439,7 +440,7 @@ func TestLeveledSteadyStateZeroAlloc(t *testing.T) {
 	qr := dx.NewQuerier()
 	qr.CollectDistinct(q, 0)
 	if allocs := testing.AllocsPerRun(100, func() { qr.CollectDistinct(q, 0) }); allocs != 0 {
-		t.Errorf("leveled DynamicIndex steady-state query allocates %.1f/op", allocs)
+		t.Errorf("leveled one-shard steady-state query allocates %.1f/op", allocs)
 	}
 
 	sx := NewSharded[[]float64](xrand.New(42), dynamicFamily(), 10, nil, ShardOptions{

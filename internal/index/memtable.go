@@ -2,7 +2,7 @@ package index
 
 import "dsh/internal/durable"
 
-// memtable is the mutable write buffer of a DynamicIndex. Fresh inserts
+// memtable is the mutable write buffer of a shard. Fresh inserts
 // land here in a chained-bucket layout — one map[uint64]bucket per
 // repetition pointing into a per-repetition chain array — which absorbs
 // writes in O(1) without the rebuild cost of the frozen flat tables and,
@@ -16,7 +16,7 @@ import "dsh/internal/durable"
 // keys in column order, so freezing into a segment is a pure
 // buildFlatTable pass with no rehashing of the points.
 //
-// A memtable is not safe for concurrent mutation; the DynamicIndex guards
+// A memtable is not safe for concurrent mutation; the shard guards
 // it with its structural lock, and freezes it in place under that lock.
 
 // bucket is one repetition-key bucket: the first and last row index (into

@@ -7,8 +7,8 @@ import (
 )
 
 // Process-wide serving-core metrics, registered once in the obs default
-// registry. All counters and histograms are striped: each DynamicIndex
-// (therefore each shard) records write-path metrics on its own stripe,
+// registry. All counters and histograms are striped: each shard records
+// write-path metrics on its own stripe,
 // and each Querier records query-path metrics on its own —
 // queriers are per-goroutine, so concurrent batch workers never contend
 // on a counter cache line. Recording never allocates; the instrumented

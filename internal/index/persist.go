@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -17,7 +18,8 @@ import (
 	"dsh/internal/xrand"
 )
 
-// Durability integration. A DynamicIndex can be backed by a durable.Env:
+// Durability integration. Each shard of a ShardedIndex can be backed by a
+// durable.Env of its own, in the shard-NNN subdirectory of the store:
 // every mutation is journaled to a checksummed write-ahead log before it
 // is applied (under the same structural-lock acquisition, so WAL order is
 // apply order), frozen segments are flushed to immutable segment files,
@@ -46,6 +48,11 @@ import (
 // index keeps serving from memory. DurableErr surfaces the latched
 // error — the process equivalent is a kill, and recovery re-opens from
 // the last durable state.
+//
+// On disk a store is a directory holding a top-level manifest (seed, L,
+// shard count and routing mode; no segments, no WAL) and one shard-NNN
+// subdirectory per shard with its own WAL, segment files and manifest, so
+// shards persist and recover independently and in parallel.
 
 // WAL record types. Every record's first byte is one of these.
 const (
@@ -61,8 +68,8 @@ const (
 // exists nowhere on disk.
 var ErrNotJournaled = errors.New("index: mutation after Close was not journaled")
 
-// store is the durability attachment of one DynamicIndex. The wal field
-// and the scratch buffers are guarded by the index's structural mutex
+// store is the durability attachment of one shard. The wal field
+// and the scratch buffers are guarded by the shard's structural mutex
 // (every append happens inside a mutation's critical section); persist
 // has its own serialization.
 type store[P any] struct {
@@ -89,7 +96,7 @@ type store[P any] struct {
 // attach wires the store into dx and stamps the live memtable's WAL
 // watermark when it is empty (a replayed memtable keeps the position of
 // its first replayed record).
-func (st *store[P]) attach(dx *DynamicIndex[P], wal *durable.WAL) {
+func (st *store[P]) attach(dx *shard[P], wal *durable.WAL) {
 	st.wal = wal
 	dx.store = st
 	if dx.mem.len() == 0 {
@@ -117,7 +124,7 @@ func (st *store[P]) appendPointPayload(b []byte, p P) []byte {
 
 // logInsert journals a plain insert about to receive id len(dx.points).
 // Called under dx.mu, before insertLocked.
-func (st *store[P]) logInsert(dx *DynamicIndex[P], p P, keys []uint64) {
+func (st *store[P]) logInsert(dx *shard[P], p P, keys []uint64) {
 	b := append(st.buf[:0], recInsert)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(dx.points)))
 	b = st.appendPointPayload(b, p)
@@ -130,7 +137,7 @@ func (st *store[P]) logInsert(dx *DynamicIndex[P], p P, keys []uint64) {
 // logInsertKeyed journals a keyed upsert (one record covers the implied
 // tombstone of the previous version). Called under dx.mu, before the
 // upsert.
-func (st *store[P]) logInsertKeyed(dx *DynamicIndex[P], key uint64, p P, keys []uint64) {
+func (st *store[P]) logInsertKeyed(dx *shard[P], key uint64, p P, keys []uint64) {
 	b := append(st.buf[:0], recInsertKeyed)
 	b = binary.LittleEndian.AppendUint64(b, key)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(dx.points)))
@@ -345,7 +352,7 @@ func segFromData(sd *durable.SegmentData, file string, L int) (*segment, error) 
 // one structural-lock acquisition so the manifest describes one
 // consistent instant. Obsolete files are retired only after the new
 // manifest is durable, which is what makes manifest fallback safe.
-func (st *store[P]) persist(dx *DynamicIndex[P]) error {
+func (st *store[P]) persist(dx *shard[P]) error {
 	st.persistMu.Lock()
 	defer st.persistMu.Unlock()
 	if st.sealed.Load() {
@@ -462,7 +469,7 @@ func (st *store[P]) persist(dx *DynamicIndex[P]) error {
 // seal is Close's durable shutdown: freeze the memtable, write a final
 // checkpoint, and stop journaling. Idempotent; errors latch in the
 // Env and surface through DurableErr.
-func (st *store[P]) seal(dx *DynamicIndex[P]) {
+func (st *store[P]) seal(dx *shard[P]) {
 	st.sealOnce.Do(func() {
 		dx.Flush()
 		_ = st.persist(dx)
@@ -473,25 +480,25 @@ func (st *store[P]) seal(dx *DynamicIndex[P]) {
 	})
 }
 
-// Persist checkpoints the index's durable state: frozen segments are
+// Persist checkpoints the shard's durable state: frozen segments are
 // flushed to segment files and a new manifest commits them together with
 // the WAL watermark, shrinking the log tail a future recovery must
-// replay. It is a no-op (returning nil) on an index without a durable
+// replay. It is a no-op (returning nil) on a shard without a durable
 // store. Safe for concurrent use with queries and mutations; concurrent
 // Persist calls serialize.
-func (dx *DynamicIndex[P]) Persist() error {
+func (dx *shard[P]) Persist() error {
 	if dx.store == nil {
 		return nil
 	}
 	return dx.store.persist(dx)
 }
 
-// DurableErr reports the first unrecoverable durability failure (a disk
-// error, an injected fault, or ErrNotJournaled for mutations that
-// arrived after Close). It returns nil for an index without a durable
-// store and while the store is healthy: the index itself keeps serving
+// DurableErr reports the shard's first unrecoverable durability failure
+// (a disk error, an injected fault, or ErrNotJournaled for mutations that
+// arrived after Close). It returns nil for a shard without a durable
+// store and while the store is healthy: the shard itself keeps serving
 // from memory either way.
-func (dx *DynamicIndex[P]) DurableErr() error {
+func (dx *shard[P]) DurableErr() error {
 	if dx.store == nil {
 		return nil
 	}
@@ -504,100 +511,13 @@ func (dx *DynamicIndex[P]) DurableErr() error {
 	return nil
 }
 
-// NewDurableDynamic builds an empty dynamic index whose mutations are
-// journaled under dir (created if absent; it must not already hold an
-// index). The L repetition draws are sampled from seed, which the
-// manifest records so OpenDynamic can re-sample the identical draws —
-// recovery therefore re-creates the hashers but never re-evaluates one
-// on a point. The returned index behaves exactly like NewDynamic plus
-// the durability methods (Persist, DurableErr) and a Close that seals
-// the on-disk state.
-func NewDurableDynamic[P any](dir string, seed uint64, family core.Family[P], L int, codec durable.PointCodec[P], opts DynamicOptions, dopts durable.Options) (*DynamicIndex[P], error) {
-	if family == nil {
-		panic("index: family must be non-nil")
-	}
-	if L <= 0 {
-		panic("index: repetitions must be positive")
-	}
-	env, err := durable.OpenEnv(dir, dopts)
-	if err != nil {
-		return nil, err
-	}
-	if m, err := env.LoadManifest(); err != nil {
-		return nil, err
-	} else if m != nil {
-		return nil, fmt.Errorf("index: %s already holds an index (use OpenDynamic)", dir)
-	}
-	rng := xrand.New(seed)
-	pairs := make([]core.Pair[P], L)
-	for i := range pairs {
-		pairs[i] = family.Sample(rng)
-	}
-	dx := newDynamicShell(pairs, negHashers(pairs), opts)
-	st := &store[P]{env: env, codec: codec, seed: seed}
-	m := &durable.Manifest{
-		Seq:       1,
-		Watermark: durable.Pos{Seq: 1},
-		Seed:      seed,
-		L:         uint32(L),
-	}
-	if err := env.WriteManifest(m); err != nil {
-		return nil, err
-	}
-	wal, err := env.CreateWAL(1)
-	if err != nil {
-		return nil, err
-	}
-	st.attach(dx, wal)
-	dx.startCompactor()
-	return dx, nil
-}
-
-// OpenDynamic recovers a dynamic index previously created by
-// NewDurableDynamic under dir: segment files are read back verbatim
-// (tables included), the WAL tail is replayed, and the index resumes
-// journaling. family must be the family the index was created with; the
-// repetition draws are re-sampled from the manifest's recorded seed, and
-// no hash function is evaluated on any point during recovery. opts and
-// dopts take effect for the recovered index's future behavior (they are
-// runtime knobs, not persisted state).
-func OpenDynamic[P any](dir string, family core.Family[P], codec durable.PointCodec[P], opts DynamicOptions, dopts durable.Options) (*DynamicIndex[P], error) {
-	env, err := durable.OpenEnv(dir, dopts)
-	if err != nil {
-		return nil, err
-	}
-	mstart := time.Now()
-	m, err := env.LoadManifest()
-	mRecoverManifest.Observe(0, uint64(time.Since(mstart)))
-	if err != nil {
-		return nil, err
-	}
-	if m == nil {
-		return nil, fmt.Errorf("index: no manifest under %s", dir)
-	}
-	if m.Shards != 0 {
-		return nil, fmt.Errorf("index: %s holds a sharded index (use OpenSharded)", dir)
-	}
-	rng := xrand.New(m.Seed)
-	pairs := make([]core.Pair[P], m.L)
-	for i := range pairs {
-		pairs[i] = family.Sample(rng)
-	}
-	dx, err := openDynamicFromEnv(env, m, pairs, negHashers(pairs), codec, opts)
-	if err != nil {
-		return nil, err
-	}
-	dx.startCompactor()
-	return dx, nil
-}
-
-// openDynamicFromEnv is the shared recovery tail of OpenDynamic and
-// OpenSharded: rebuild the in-memory state from the manifest, replay the
-// WAL, and attach a live store appending to a fresh log file (appending
-// past a possibly-torn tail is never attempted). The caller starts the
-// background compactor afterwards.
-func openDynamicFromEnv[P any](env *durable.Env, m *durable.Manifest, pairs []core.Pair[P], negG []negQueryHasher, codec durable.PointCodec[P], opts DynamicOptions) (*DynamicIndex[P], error) {
-	dx := newDynamicShell(pairs, negG, opts)
+// openShard is OpenSharded's per-shard recovery: rebuild the in-memory
+// state from the shard's manifest, replay its WAL, and attach a live
+// store appending to a fresh log file (appending past a possibly-torn
+// tail is never attempted). The caller starts the background compactor
+// afterwards.
+func openShard[P any](env *durable.Env, m *durable.Manifest, pairs []core.Pair[P], barrier *sync.RWMutex, codec durable.PointCodec[P], opts DynamicOptions) (*shard[P], error) {
+	dx := newShardShell(pairs, barrier, opts)
 	if err := dx.recoverFrom(env, codec, m); err != nil {
 		return nil, err
 	}
@@ -624,7 +544,7 @@ func openDynamicFromEnv[P any](env *durable.Env, m *durable.Manifest, pairs []co
 // the manifest and the WAL. Zero hash evaluations: segment tables load
 // verbatim, and replayed inserts reuse the hash keys their records
 // carry.
-func (dx *DynamicIndex[P]) recoverFrom(env *durable.Env, codec durable.PointCodec[P], m *durable.Manifest) error {
+func (dx *shard[P]) recoverFrom(env *durable.Env, codec durable.PointCodec[P], m *durable.Manifest) error {
 	L := len(dx.pairs)
 	if int(m.L) != L {
 		return fmt.Errorf("index: manifest has L=%d, caller sampled %d repetitions", m.L, L)
@@ -783,7 +703,7 @@ func (dx *DynamicIndex[P]) recoverFrom(env *durable.Env, codec durable.PointCode
 // replayRow re-applies one journaled insert. The id check is a
 // corruption tripwire: WAL order is apply order, so every replayed
 // insert must receive exactly the id the original run assigned.
-func (dx *DynamicIndex[P]) replayRow(id int32, p P, keys []uint64, pos durable.Pos) error {
+func (dx *shard[P]) replayRow(id int32, p P, keys []uint64, pos durable.Pos) error {
 	if int(id) != len(dx.points) {
 		return fmt.Errorf("%w: WAL insert id %d, expected %d", durable.ErrCorrupt, id, len(dx.points))
 	}
@@ -802,7 +722,7 @@ func (dx *DynamicIndex[P]) replayRow(id int32, p P, keys []uint64, pos durable.P
 
 // replayOp applies one live-region record, mirroring the mutation that
 // journaled it.
-func (dx *DynamicIndex[P]) replayOp(op walOp[P], pos durable.Pos) error {
+func (dx *shard[P]) replayOp(op walOp[P], pos durable.Pos) error {
 	switch op.typ {
 	case recInsert:
 		return dx.replayRow(op.id, op.point, op.keys, pos)
@@ -849,9 +769,8 @@ func (dx *DynamicIndex[P]) replayOp(op walOp[P], pos durable.Pos) error {
 // ever drops a row, so the replayed row set equals the original's at
 // this record — the resulting ids are bit-identical to the crashed
 // process's even though the replayed layer structure may differ (layer
-// structure never affects candidate order; see the DynamicIndex type
-// comment).
-func (dx *DynamicIndex[P]) replayGCRemap(snapBound int, delta int32, dropped []int32) error {
+// structure never affects candidate order; see the shard type comment).
+func (dx *shard[P]) replayGCRemap(snapBound int, delta int32, dropped []int32) error {
 	var drop bitvec.Bitmap
 	for _, id := range dropped {
 		if id < 0 || int(id) >= snapBound {
@@ -922,12 +841,17 @@ func (dx *DynamicIndex[P]) replayGCRemap(snapBound int, delta int32, dropped []i
 // shardDirName returns the subdirectory of shard s.
 func shardDirName(s int) string { return fmt.Sprintf("shard-%03d", s) }
 
-// NewDurableSharded builds an empty sharded index journaled under dir:
-// one durable subdirectory per shard (each with its own WAL, segment
-// files and manifest, so shards persist and recover independently and in
-// parallel) plus a top-level manifest recording the shard count, routing
-// mode, seed and L. The repetition draws are sampled from seed and
-// shared by every shard, exactly like NewSharded.
+// NewDurableSharded builds an empty sharded index journaled under dir
+// (created if absent; it must not already hold a store): one durable
+// subdirectory per shard (each with its own WAL, segment files and
+// manifest, so shards persist and recover independently and in parallel)
+// plus a top-level manifest recording the shard count, routing mode, seed
+// and L. The repetition draws are sampled from seed, which the manifest
+// records so OpenSharded can re-sample the identical draws — recovery
+// re-creates the hashers but never re-evaluates one on a point. The index
+// behaves exactly like NewSharded(xrand.New(seed), family, L, nil, opts) —
+// same repetition draws, same candidate streams — with every mutation
+// additionally journaled.
 func NewDurableSharded[P any](dir string, seed uint64, family core.Family[P], L int, codec durable.PointCodec[P], opts ShardOptions, dopts durable.Options) (*ShardedIndex[P], error) {
 	if family == nil {
 		panic("index: family must be non-nil")
@@ -966,8 +890,7 @@ func NewDurableSharded[P any](dir string, seed uint64, family core.Family[P], L 
 		if err != nil {
 			return nil, err
 		}
-		dx := newDynamicShell(pairs, sx.negG, opts.Dynamic)
-		dx.barrier = &sx.barrier
+		dx := newShardShell(pairs, &sx.barrier, opts.Dynamic)
 		st := &store[P]{env: env, codec: codec, seed: seed}
 		if err := env.WriteManifest(&durable.Manifest{Seq: 1, Watermark: durable.Pos{Seq: 1}, Seed: seed, L: uint32(L)}); err != nil {
 			return nil, err
@@ -983,12 +906,21 @@ func NewDurableSharded[P any](dir string, seed uint64, family core.Family[P], L 
 	return sx, nil
 }
 
-// OpenSharded recovers a sharded index created by NewDurableSharded.
-// The shard count and routing mode come from the top-level manifest;
-// dyn configures each recovered shard's runtime behavior. Shards
-// recover concurrently — each reads its own segment files and replays
-// its own WAL — so cold starts scale with the shard count. Zero hash
-// evaluations, like OpenDynamic.
+// OpenSharded recovers a sharded index created by NewDurableSharded:
+// segment files are read back verbatim (tables included), the WAL tails
+// are replayed, and every shard resumes journaling. family must be the
+// family the store was created with; the repetition draws are re-sampled
+// from the manifest's recorded seed, and no hash function is evaluated on
+// any point during recovery. The shard count and routing mode come from
+// the top-level manifest; dyn and dopts configure the recovered shards'
+// runtime behavior (they are runtime knobs, not persisted state). Shards
+// recover concurrently — each reads its own segment files and replays its
+// own WAL — so cold starts scale with the shard count.
+//
+// The top manifest's shard count and L are checked before any shard
+// directory is opened or any goroutine started: every shard-NNN directory
+// must already exist, and L must be within the segment reader's
+// repetition cap; otherwise OpenSharded reports durable.ErrCorrupt.
 func OpenSharded[P any](dir string, family core.Family[P], codec durable.PointCodec[P], dyn DynamicOptions, dopts durable.Options) (*ShardedIndex[P], error) {
 	topEnv, err := durable.OpenEnv(dir, dopts)
 	if err != nil {
@@ -1002,14 +934,26 @@ func OpenSharded[P any](dir string, family core.Family[P], codec durable.PointCo
 		return nil, fmt.Errorf("index: no manifest under %s", dir)
 	}
 	if m.Shards == 0 {
-		return nil, fmt.Errorf("index: %s holds an unsharded index (use OpenDynamic)", dir)
+		return nil, fmt.Errorf("index: %s holds one shard's store, not a sharded index (open its parent directory)", dir)
+	}
+	if m.L == 0 || m.L > durable.MaxRepetitions || m.Routing > uint32(RouteHash) {
+		return nil, fmt.Errorf("%w: top manifest records L=%d, routing %d", durable.ErrCorrupt, m.L, m.Routing)
+	}
+	// Stat, never create: a manifest recording more shards than exist on
+	// disk fails at the first missing directory, before any allocation or
+	// goroutine is sized from the recorded count.
+	K := int(m.Shards)
+	for s := 0; s < K; s++ {
+		sdir := filepath.Join(dir, shardDirName(s))
+		if fi, err := os.Stat(sdir); err != nil || !fi.IsDir() {
+			return nil, fmt.Errorf("%w: top manifest records %d shards, but %s is not a directory", durable.ErrCorrupt, K, sdir)
+		}
 	}
 	rng := xrand.New(m.Seed)
 	pairs := make([]core.Pair[P], m.L)
 	for i := range pairs {
 		pairs[i] = family.Sample(rng)
 	}
-	K := int(m.Shards)
 	sx := newShardedShell(pairs, K, Routing(m.Routing))
 	errs := make([]error, K)
 	var wg sync.WaitGroup
@@ -1038,7 +982,7 @@ func OpenSharded[P any](dir string, family core.Family[P], codec durable.PointCo
 				errs[s] = fmt.Errorf("%w: shard %d manifest (seed %d, L %d) disagrees with top manifest (seed %d, L %d)", durable.ErrCorrupt, s, sm.Seed, sm.L, m.Seed, m.L)
 				return
 			}
-			dx, err := openDynamicFromEnv(env, sm, pairs, sx.negG, codec, dyn)
+			dx, err := openShard(env, sm, pairs, &sx.barrier, codec, dyn)
 			if err != nil {
 				errs[s] = err
 				return
@@ -1054,7 +998,6 @@ func OpenSharded[P any](dir string, family core.Family[P], codec durable.PointCo
 	}
 	total := 0
 	for _, dx := range sx.shards {
-		dx.barrier = &sx.barrier
 		dx.startCompactor()
 		total += len(dx.points)
 	}
@@ -1073,7 +1016,7 @@ func (sx *ShardedIndex[P]) Persist() error {
 	var wg sync.WaitGroup
 	for s, dx := range sx.shards {
 		wg.Add(1)
-		go func(s int, dx *DynamicIndex[P]) {
+		go func(s int, dx *shard[P]) {
 			defer wg.Done()
 			errs[s] = dx.Persist()
 		}(s, dx)

@@ -14,7 +14,7 @@ import (
 func walSeedRecords(L int) [][]byte {
 	st := &store[[]float64]{codec: durable.Float64Codec{}}
 	st.sealed.Store(true)
-	dx := &DynamicIndex[[]float64]{points: make([][]float64, 5)}
+	dx := &shard[[]float64]{points: make([][]float64, 5)}
 	keys := make([]uint64, L)
 	for i := range keys {
 		keys[i] = uint64(i)*0x9e3779b97f4a7c15 + 1

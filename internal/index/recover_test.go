@@ -1,6 +1,8 @@
 package index
 
 import (
+	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync/atomic"
@@ -16,10 +18,17 @@ func recoverQueries(n int) [][]float64 {
 	return workload.SpherePoints(xrand.New(971), n, testDim)
 }
 
-// requireSameServing asserts that two indexes serve identically: same
-// live count, same candidate stream for every probe, and same stored
-// point under every live id.
-func requireSameServing(t *testing.T, want, got *DynamicIndex[[]float64]) {
+// idBound returns the exclusive upper bound of sx's global id space.
+func idBound[P any](sx *ShardedIndex[P]) int {
+	n := sx.beginRead()
+	sx.endRead()
+	return n
+}
+
+// requireSameServing asserts that two one-shard indexes serve
+// identically: same live count, same candidate stream for every probe,
+// and same stored point under every live id.
+func requireSameServing(t *testing.T, want, got *ShardedIndex[[]float64]) {
 	t.Helper()
 	if want.Len() != got.Len() {
 		t.Fatalf("live count diverged: want %d, got %d", want.Len(), got.Len())
@@ -31,8 +40,8 @@ func requireSameServing(t *testing.T, want, got *DynamicIndex[[]float64]) {
 			t.Fatalf("query %d candidate stream diverged:\nwant %v\ngot  %v", qi, w, g)
 		}
 	}
-	bound := len(want.points)
-	if gb := len(got.points); gb != bound {
+	bound := idBound(want)
+	if gb := idBound(got); gb != bound {
 		t.Fatalf("id bound diverged: want %d, got %d", bound, gb)
 	}
 	for id := 0; id < bound; id++ {
@@ -49,7 +58,7 @@ func requireSameServing(t *testing.T, want, got *DynamicIndex[[]float64]) {
 }
 
 // TestRecoverCleanShutdownZeroHashes is the tentpole acceptance test:
-// after a clean Close, OpenDynamic rebuilds the exact serving state — and
+// after a clean Close, OpenSharded rebuilds the exact serving state — and
 // the counting family proves recovery performs zero hash evaluations on
 // points (manifest + segment files + retained key columns carry
 // everything).
@@ -59,8 +68,8 @@ func TestRecoverCleanShutdownZeroHashes(t *testing.T) {
 	fam := countingFamily{inner: dynamicFamily(), hCalls: &atomic.Int64{}, gCalls: &atomic.Int64{}}
 	pts := workload.SpherePoints(xrand.New(701), n, testDim)
 
-	dx, err := NewDurableDynamic[[]float64](dir, seed, fam, L, durable.Float64Codec{},
-		DynamicOptions{MemtableThreshold: 64, Policy: CompactLeveled}, durable.Options{Fsync: durable.FsyncNever})
+	dx, err := NewDurableSharded[[]float64](dir, seed, fam, L, durable.Float64Codec{},
+		ShardOptions{Shards: 1, Dynamic: DynamicOptions{MemtableThreshold: 64, Policy: CompactLeveled}}, durable.Options{Fsync: durable.FsyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +89,7 @@ func TestRecoverCleanShutdownZeroHashes(t *testing.T) {
 	}
 
 	rfam := countingFamily{inner: dynamicFamily(), hCalls: &atomic.Int64{}, gCalls: &atomic.Int64{}}
-	rx, err := OpenDynamic[[]float64](dir, rfam, durable.Float64Codec{},
+	rx, err := OpenSharded[[]float64](dir, rfam, durable.Float64Codec{},
 		DynamicOptions{MemtableThreshold: 64, Policy: CompactLeveled}, durable.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +109,7 @@ func TestRecoverCleanShutdownZeroHashes(t *testing.T) {
 	// identical candidate stream.
 	rx.Compact()
 	live := make([][]float64, 0, rx.Len())
-	for id := 0; id < len(rx.points); id++ {
+	for id := 0; id < idBound(rx); id++ {
 		if !rx.Deleted(id) {
 			live = append(live, rx.Point(id))
 		}
@@ -122,8 +131,8 @@ func TestRecoverWALTailWithoutClose(t *testing.T) {
 	const seed, L, n = 43, 6, 300
 	pts := workload.SpherePoints(xrand.New(703), n, testDim)
 
-	dx, err := NewDurableDynamic[[]float64](dir, seed, dynamicFamily(), L, durable.Float64Codec{},
-		DynamicOptions{MemtableThreshold: 32}, durable.Options{Fsync: durable.FsyncAlways})
+	dx, err := NewDurableSharded[[]float64](dir, seed, dynamicFamily(), L, durable.Float64Codec{},
+		ShardOptions{Shards: 1, Routing: RouteHash, Dynamic: DynamicOptions{MemtableThreshold: 32}}, durable.Options{Fsync: durable.FsyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +144,7 @@ func TestRecoverWALTailWithoutClose(t *testing.T) {
 	}
 	// No Close: the open WAL file holds the whole history (FsyncAlways).
 
-	rx, err := OpenDynamic[[]float64](dir, dynamicFamily(), durable.Float64Codec{},
+	rx, err := OpenSharded[[]float64](dir, dynamicFamily(), durable.Float64Codec{},
 		DynamicOptions{MemtableThreshold: 32}, durable.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -160,8 +169,8 @@ func TestRecoverAfterPersistSkipsBufferedDeletes(t *testing.T) {
 	const seed, L = 47, 6
 	pts := workload.SpherePoints(xrand.New(705), 200, testDim)
 
-	dx, err := NewDurableDynamic[[]float64](dir, seed, dynamicFamily(), L, durable.Float64Codec{},
-		DynamicOptions{MemtableThreshold: 64}, durable.Options{Fsync: durable.FsyncAlways})
+	dx, err := NewDurableSharded[[]float64](dir, seed, dynamicFamily(), L, durable.Float64Codec{},
+		ShardOptions{Shards: 1, Dynamic: DynamicOptions{MemtableThreshold: 64}}, durable.Options{Fsync: durable.FsyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +190,7 @@ func TestRecoverAfterPersistSkipsBufferedDeletes(t *testing.T) {
 	dx.Delete(3) // double-delete across the checkpoint: must stay a no-op
 	dx.Delete(160)
 
-	rx, err := OpenDynamic[[]float64](dir, dynamicFamily(), durable.Float64Codec{},
+	rx, err := OpenSharded[[]float64](dir, dynamicFamily(), durable.Float64Codec{},
 		DynamicOptions{MemtableThreshold: 64}, durable.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -258,23 +267,91 @@ func TestRecoverSharded(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsWrongKind makes sure the two Open entry points refuse
-// each other's directories instead of mis-reading them.
+// TestOpenRejectsWrongKind makes sure OpenSharded refuses directories
+// that do not hold a whole store — one shard's subdirectory and an empty
+// directory — and that NewDurableSharded refuses to overwrite a store.
 func TestOpenRejectsWrongKind(t *testing.T) {
-	dynDir := filepath.Join(t.TempDir(), "dyn")
-	dx, err := NewDurableDynamic[[]float64](dynDir, 1, dynamicFamily(), 4, durable.Float64Codec{},
-		DynamicOptions{}, durable.Options{})
+	dir := filepath.Join(t.TempDir(), "store")
+	sx, err := NewDurableSharded[[]float64](dir, 1, dynamicFamily(), 4, durable.Float64Codec{},
+		ShardOptions{Shards: 1}, durable.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dx.Close()
-	if _, err := OpenSharded[[]float64](dynDir, dynamicFamily(), durable.Float64Codec{}, DynamicOptions{}, durable.Options{}); err == nil {
-		t.Fatal("OpenSharded accepted an unsharded directory")
+	sx.Close()
+	if _, err := OpenSharded[[]float64](filepath.Join(dir, shardDirName(0)), dynamicFamily(), durable.Float64Codec{}, DynamicOptions{}, durable.Options{}); err == nil {
+		t.Fatal("OpenSharded accepted a shard subdirectory")
 	}
-	if _, err := OpenDynamic[[]float64](t.TempDir(), dynamicFamily(), durable.Float64Codec{}, DynamicOptions{}, durable.Options{}); err == nil {
-		t.Fatal("OpenDynamic accepted an empty directory")
+	if _, err := OpenSharded[[]float64](t.TempDir(), dynamicFamily(), durable.Float64Codec{}, DynamicOptions{}, durable.Options{}); err == nil {
+		t.Fatal("OpenSharded accepted an empty directory")
 	}
-	if _, err := NewDurableDynamic[[]float64](dynDir, 1, dynamicFamily(), 4, durable.Float64Codec{}, DynamicOptions{}, durable.Options{}); err == nil {
-		t.Fatal("NewDurableDynamic overwrote an existing store")
+	if _, err := NewDurableSharded[[]float64](dir, 1, dynamicFamily(), 4, durable.Float64Codec{}, ShardOptions{Shards: 1}, durable.Options{}); err == nil {
+		t.Fatal("NewDurableSharded overwrote an existing store")
+	}
+	rx, err := OpenSharded[[]float64](dir, dynamicFamily(), durable.Float64Codec{}, DynamicOptions{}, durable.Options{})
+	if err != nil {
+		t.Fatalf("the store itself no longer opens: %v", err)
+	}
+	rx.Close()
+}
+
+// rewriteTopManifest commits a modified copy of the store's top-level
+// manifest (CRC-valid, under the next sequence number, so it is the one
+// recovery loads).
+func rewriteTopManifest(t *testing.T, dir string, edit func(m *durable.Manifest)) {
+	t.Helper()
+	env, err := durable.OpenEnv(dir, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := env.LoadManifest()
+	if err != nil || m == nil {
+		t.Fatalf("load top manifest: %v", err)
+	}
+	edit(m)
+	m.Seq++
+	if err := env.WriteManifest(m); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenShardedChecksManifestFirst: a top-level manifest recording more
+// shards than exist on disk, or more repetitions than the segment reader
+// accepts, is reported as ErrCorrupt before OpenSharded creates a
+// directory or samples a draw.
+func TestOpenShardedChecksManifestFirst(t *testing.T) {
+	newStore := func() string {
+		dir := t.TempDir()
+		sx, err := NewDurableSharded[[]float64](dir, 3, dynamicFamily(), 4, durable.Float64Codec{},
+			ShardOptions{Shards: 2, Routing: RouteHash}, durable.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sx.InsertKeyed(1, recoverQueries(1)[0])
+		sx.Close()
+		return dir
+	}
+	open := func(dir string) error {
+		rx, err := OpenSharded[[]float64](dir, dynamicFamily(), durable.Float64Codec{}, DynamicOptions{}, durable.Options{})
+		if err == nil {
+			rx.Close()
+		}
+		return err
+	}
+
+	dir := newStore()
+	rewriteTopManifest(t, dir, func(m *durable.Manifest) { m.Shards = 8 })
+	if err := open(dir); !errors.Is(err, durable.ErrCorrupt) {
+		t.Fatalf("8-shard manifest over 2 shard directories: err = %v, want ErrCorrupt", err)
+	}
+	for s := 2; s < 8; s++ {
+		if _, err := os.Stat(filepath.Join(dir, shardDirName(s))); !os.IsNotExist(err) {
+			t.Fatalf("OpenSharded created %s (stat err %v)", shardDirName(s), err)
+		}
+	}
+
+	dir = newStore()
+	rewriteTopManifest(t, dir, func(m *durable.Manifest) { m.L = durable.MaxRepetitions + 1 })
+	if err := open(dir); !errors.Is(err, durable.ErrCorrupt) {
+		t.Fatalf("L = %d: err = %v, want ErrCorrupt", durable.MaxRepetitions+1, err)
 	}
 }

@@ -1,8 +1,11 @@
 package index
 
-import "dsh/internal/core"
+import (
+	"dsh/internal/bitvec"
+	"dsh/internal/core"
+)
 
-// segment is one immutable frozen run of a DynamicIndex: the flat-table
+// segment is one immutable frozen run of a shard: the flat-table
 // layout of table.go applied to a batch of points that passed through the
 // memtable (or through a merge). A segment stores one flatTable per
 // repetition over *local* positions 0..len-1 plus the mapping from local
@@ -11,7 +14,7 @@ import "dsh/internal/core"
 // the tables were built from, which is what lets compaction merge
 // segments by concatenating columns instead of re-hashing points.
 // Segments are never mutated after construction — deletes are recorded in
-// the DynamicIndex tombstone bitmap and applied during candidate
+// the shard's tombstone bitmap and applied during candidate
 // iteration, and merges replace whole segments.
 type segment struct {
 	// tables[i] buckets local positions by the repetition-i data-side key.
@@ -40,6 +43,21 @@ func (s *segment) len() int { return len(s.globalIDs) }
 // callers translate through globalIDs. The slice aliases frozen storage.
 func (s *segment) lookup(rep int, key uint64) []int32 {
 	return s.tables[rep].lookup(key)
+}
+
+// appendSegmentCandidates appends the ids colliding with key in
+// repetition rep across segs, oldest first, skipping ids tombstoned in
+// dead, and returns the extended slice plus the number of segments
+// probed.
+func appendSegmentCandidates(segs []*segment, dead *bitvec.Bitmap, rep int, key uint64, dst []int32) ([]int32, int) {
+	for _, seg := range segs {
+		for _, local := range seg.lookup(rep, key) {
+			if id := seg.globalIDs[local]; !dead.Get(int(id)) {
+				dst = append(dst, id)
+			}
+		}
+	}
+	return dst, len(segs)
 }
 
 // withShiftedIDs returns a copy of the segment sharing its flat tables and

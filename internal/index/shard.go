@@ -32,11 +32,12 @@ const (
 
 // ShardOptions configures a ShardedIndex.
 type ShardOptions struct {
-	// Shards is the number of independent DynamicIndex shards. It must be
-	// positive; NewSharded panics otherwise. More shards means more
+	// Shards is the number of independent shards. It must be positive;
+	// NewSharded panics otherwise. One shard is a single LSM store whose
+	// ids and candidate order are a static Index's. More shards means more
 	// mutation concurrency (inserts and deletes on different shards never
-	// contend on a lock) at the cost of one extra probe per repetition
-	// per shard on the query path.
+	// contend on a lock) at the cost of one extra probe per repetition per
+	// shard on the query path.
 	Shards int
 	// Routing selects the insert-routing discipline: RouteRoundRobin (the
 	// zero value) serves plain Insert, RouteHash serves InsertKeyed. The
@@ -49,28 +50,36 @@ type ShardOptions struct {
 	Dynamic DynamicOptions
 }
 
-// ShardedIndex is the multi-writer serving core: K independent
-// DynamicIndex shards, each with its own memtable, segment list and
-// compaction policy — and, crucially, its own locks — so mutations on
-// different shards never contend. Points are partitioned by global id:
-// id g lives on shard g mod K at shard-local position g div K. Under
-// RouteRoundRobin (the default) plain Inserts rotate across shards, which
-// keeps that mapping purely arithmetic (no routing table) and keeps shard
-// sizes balanced within one point; under RouteHash, InsertKeyed routes by
-// a hash of the external key, so every version of a key lives on one
-// shard and upserts are atomic under that shard's lock.
+// ShardedIndex is the mutable, LSM-style serving core: K independent
+// shards, each with its own memtable, flat-table segments, tombstone
+// bitmap and compaction policy — and, crucially, its own locks — so
+// mutations on different shards never contend. A memtable absorbs fresh
+// inserts, a full one freezes into an immutable segment in place, and
+// deletes are recorded as tombstones consulted during candidate
+// iteration; segments retain their hash-key columns, so every merge (see
+// CompactionPolicy) moves memory instead of re-evaluating hash functions.
+// Compact folds each shard into one flat segment, after which
+// steady-state queries through a Querier allocate nothing. Points are
+// partitioned by global id: id g lives on shard g mod K at shard-local
+// position g div K. Under RouteRoundRobin (the default) plain Inserts
+// rotate across shards, which keeps that mapping purely arithmetic (no
+// routing table) and keeps shard sizes balanced within one point; under
+// RouteHash, InsertKeyed routes by a hash of the external key, so every
+// version of a key lives on one shard and upserts are atomic under that
+// shard's lock.
 //
 // All shards share the same L repetition draws (h_i, g_i), sampled once
 // by NewSharded, so a query hashes once per repetition and probes every
 // shard with that key: the collision-probability semantics are exactly
-// those of a single DynamicIndex over the same live points, and every
+// those of a static Index over the same live points, and every
 // order-independent query result coincides — full-scan candidate sets,
 // the Candidates/Distinct counters of CollectDistinct, and range
 // reporting's ids and counters. Candidate order is shard-major instead
 // of global-id-major, so order-sensitive outcomes (the first max ids of
 // a truncated collection, the annulus scan's hit and its early-
 // termination counters) may pick different representatives, and Probes
-// grows with the layer count across all shards.
+// grows with the layer count across all shards. With one shard, global
+// ids are the shard's ids and the candidate order is a static Index's.
 //
 // ShardedIndex implements the candidateSource contract, so the
 // AnnulusIndex and RangeReporter veneers (NewAnnulusOver,
@@ -83,11 +92,11 @@ type ShardOptions struct {
 // holds every shard's structural read-lock (acquired in shard order) for
 // its read window, so each query sees one consistent state per shard;
 // mutators touch exactly one shard. Snapshot pins a point-in-time view of
-// every shard for lock-free scans. After Close, Insert and Snapshot panic;
-// queries and deletes on the existing data remain valid.
+// every shard for lock-free scans. After Close, Insert, InsertKeyed and
+// Snapshot panic; queries and deletes on the existing data remain valid.
 type ShardedIndex[P any] struct {
 	readPath[P]
-	shards  []*DynamicIndex[P]
+	shards  []*shard[P]
 	routing Routing
 	// cursor routes inserts round-robin; it continues from the initial
 	// point count so global ids stay dense under single-writer ingest.
@@ -96,7 +105,7 @@ type ShardedIndex[P any] struct {
 
 	// barrier is the epoch barrier behind the single-instant Snapshot:
 	// every shard mutation (and every id-renumbering GC swap) holds it
-	// shared via DynamicIndex.barrier, and Snapshot's fallback path holds
+	// shared via shard.barrier, and Snapshot's fallback path holds
 	// it exclusively to quiesce all shards at once. The optimistic
 	// snapshot path never takes it, so mutators pay only an uncontended
 	// RLock in the common case.
@@ -110,12 +119,12 @@ type ShardedIndex[P any] struct {
 // NewSharded builds a sharded dynamic index over the initial points
 // (which receive global ids 0..len-1, point i landing on shard i mod K)
 // with L repetitions of the family shared by every shard. It consumes rng
-// exactly like New and NewDynamic — L Sample calls — so a sharded, a
-// single-shard and a static index built from generators with the same
-// seed share their repetition draws and return identical full-scan
-// candidate sets over identical live points (candidate order is
-// shard-major, so order-sensitive results — truncated collections, the
-// annulus early-termination hit — may pick different representatives).
+// exactly like New — L Sample calls — so a sharded and a static index
+// built from generators with the same seed share their repetition draws
+// and return identical full-scan candidate sets over identical live
+// points (candidate order is shard-major, so order-sensitive results —
+// truncated collections, the annulus early-termination hit — may pick
+// different representatives unless Shards is 1).
 //
 // NewSharded panics with a clear message when family is nil, L <= 0, or
 // opts.Shards <= 0.
@@ -140,8 +149,7 @@ func NewSharded[P any](rng *xrand.Rand, family core.Family[P], L int, points []P
 	}
 	sx := newShardedShell(pairs, K, opts.Routing)
 	for s := range sx.shards {
-		sx.shards[s] = newDynamicFromPairs(pairs, sx.negG, parts[s], opts.Dynamic)
-		sx.shards[s].barrier = &sx.barrier
+		sx.shards[s] = newShard(pairs, &sx.barrier, parts[s], opts.Dynamic)
 	}
 	sx.cursor.Store(uint64(len(points)))
 	return sx
@@ -152,7 +160,7 @@ func NewSharded[P any](rng *xrand.Rand, family core.Family[P], L int, points []P
 // shared skeleton of NewSharded, NewDurableSharded and OpenSharded.
 func newShardedShell[P any](pairs []core.Pair[P], K int, routing Routing) *ShardedIndex[P] {
 	sx := &ShardedIndex[P]{
-		shards:  make([]*DynamicIndex[P], K),
+		shards:  make([]*shard[P], K),
 		routing: routing,
 		stripe:  obs.NextStripe(),
 	}
@@ -168,12 +176,6 @@ func (sx *ShardedIndex[P]) Shards() int { return len(sx.shards) }
 // dispatching them instead of tripping the entry-point panics.
 func (sx *ShardedIndex[P]) Routing() Routing { return sx.routing }
 
-// Shard returns the s-th underlying DynamicIndex, for per-shard
-// inspection or a per-shard Snapshot. Mutating a shard directly (rather
-// than through the ShardedIndex) is safe but bypasses the global-id
-// arithmetic: ids returned by a shard's own Insert are shard-local.
-func (sx *ShardedIndex[P]) Shard(s int) *DynamicIndex[P] { return sx.shards[s] }
-
 // Len returns the number of live points across all shards. Each shard's
 // count is read under its own lock; concurrent mutators may move the
 // total while it is being summed.
@@ -187,8 +189,8 @@ func (sx *ShardedIndex[P]) Len() int {
 
 // Epoch returns the sum of the shards' mutation epochs: a monotone
 // counter advanced by every Insert and successful Delete anywhere in the
-// index. Compare per-shard epochs (Shard(s).Epoch) against a sharded
-// snapshot's shards for per-shard staleness.
+// index (and by every leveled GC merge that renumbers ids). Comparing it
+// with ShardedSnapshot.Epoch tells whether a snapshot is stale.
 func (sx *ShardedIndex[P]) Epoch() uint64 {
 	var e uint64
 	for _, dx := range sx.shards {
@@ -294,6 +296,31 @@ func (sx *ShardedIndex[P]) GCStats() GCStats {
 	return total
 }
 
+// Segments returns the number of frozen segments summed over the shards.
+// Each shard's count is read under its own lock; concurrent freezes and
+// merges may move the total at any moment.
+func (sx *ShardedIndex[P]) Segments() int {
+	n := 0
+	for _, dx := range sx.shards {
+		dx.mu.RLock()
+		n += len(dx.segments)
+		dx.mu.RUnlock()
+	}
+	return n
+}
+
+// MemtableLen returns the number of points buffered in the shards' live
+// memtables. Each shard's count is read under its own lock.
+func (sx *ShardedIndex[P]) MemtableLen() int {
+	n := 0
+	for _, dx := range sx.shards {
+		dx.mu.RLock()
+		n += dx.mem.len()
+		dx.mu.RUnlock()
+	}
+	return n
+}
+
 // Delete tombstones the point with the given global id, reporting whether
 // it was live. Only the owning shard's lock is taken.
 func (sx *ShardedIndex[P]) Delete(id int) bool {
@@ -304,9 +331,8 @@ func (sx *ShardedIndex[P]) Delete(id int) bool {
 	return sx.shards[id%K].Delete(id / K)
 }
 
-// Deleted reports whether the given global id has been deleted. Like
-// DynamicIndex.Deleted, ids outside the assigned range (including
-// negative ids) report false.
+// Deleted reports whether the given global id has been deleted; ids
+// outside the assigned range (including negative ids) report false.
 func (sx *ShardedIndex[P]) Deleted(id int) bool {
 	if id < 0 {
 		return false
@@ -315,9 +341,9 @@ func (sx *ShardedIndex[P]) Deleted(id int) bool {
 	return sx.shards[id%K].Deleted(id / K)
 }
 
-// Point returns the point stored under the given global id; like
-// DynamicIndex.Point it remains valid for deleted ids and panics for ids
-// never assigned.
+// Point returns the point stored under the given global id. It remains
+// valid for deleted ids (the stored value is retained forever) and panics
+// for ids never assigned.
 func (sx *ShardedIndex[P]) Point(id int) P {
 	if id < 0 {
 		panic("index: negative point id")
@@ -326,7 +352,9 @@ func (sx *ShardedIndex[P]) Point(id int) P {
 	return sx.shards[id%K].Point(id / K)
 }
 
-// Flush freezes every shard's memtable, shard by shard.
+// Flush freezes every shard's memtable, shard by shard, regardless of the
+// threshold. Useful before read-heavy phases: frozen probes are cheaper
+// than memtable probes.
 func (sx *ShardedIndex[P]) Flush() {
 	for _, dx := range sx.shards {
 		dx.Flush()
@@ -335,7 +363,12 @@ func (sx *ShardedIndex[P]) Flush() {
 
 // Compact compacts every shard concurrently (shards are independent, so
 // their merges never contend) and returns when all have finished. After
-// it, every shard answers from one flat segment and an empty memtable.
+// it, every shard answers from one flat segment and an empty memtable —
+// the zero-allocation steady state. Under CompactAll ids stay stable and
+// deleted points are dropped from the tables; under CompactLeveled each
+// shard runs its bottom-level GC merge, which also renumbers the
+// survivors (see CompactLeveled). Safe to call concurrently with queries
+// and mutations.
 func (sx *ShardedIndex[P]) Compact() {
 	var wg sync.WaitGroup
 	for _, dx := range sx.shards {
@@ -350,12 +383,15 @@ func (sx *ShardedIndex[P]) Compact() {
 
 // Close marks the index closed and closes every shard concurrently —
 // stopping its background compactor and, for a durable index, sealing its
-// on-disk state (final per-shard checkpoint; see DynamicIndex.Close).
-// After Close, Insert and Snapshot panic with a clear message; queries
-// and deletes over the existing data remain valid, and Compact remains
-// callable — but on a durable index, mutations after Close are in-memory
-// only and latch ErrNotJournaled in DurableErr. Close is idempotent and safe for
-// concurrent use (concurrent calls seal each shard exactly once).
+// on-disk state: the memtable is frozen, a final checkpoint (segments +
+// manifest) is written, and the WAL is synced and closed, so OpenSharded
+// recovers the exact live set without replaying any log tail. After
+// Close, Insert, InsertKeyed and Snapshot panic with a clear message;
+// queries and deletes over the existing data remain valid, and Compact
+// remains callable — but on a durable index, mutations after Close are
+// in-memory only and latch ErrNotJournaled in DurableErr. Close is
+// idempotent and safe for concurrent use (concurrent calls seal each
+// shard exactly once).
 func (sx *ShardedIndex[P]) Close() {
 	sx.closed.Store(true)
 	var wg sync.WaitGroup
@@ -373,7 +409,7 @@ func (sx *ShardedIndex[P]) Close() {
 // shard's structural read-lock, acquired in shard order (a fixed order,
 // so two concurrent queries cannot deadlock); shard-local candidate ids
 // are translated to global ids in place as each shard's layers are
-// probed.
+// probed. With one shard the translation is the identity.
 
 func (sx *ShardedIndex[P]) beginRead() int {
 	maxLen := 0
@@ -442,18 +478,18 @@ func (sx *ShardedIndex[P]) Snapshot() *ShardedSnapshot[P] {
 	}
 	K := len(sx.shards)
 	marks := make([]uint64, K)
-	ss := &ShardedSnapshot[P]{snaps: make([]*Snapshot[P], K)}
+	ss := &ShardedSnapshot[P]{snaps: make([]*shardSnap[P], K)}
 	ss.bind(ss, sx.pairs, sx.negG)
 	for attempt := 0; attempt < 3; attempt++ {
 		for s, dx := range sx.shards {
 			marks[s] = dx.Epoch()
 		}
 		for s, dx := range sx.shards {
-			ss.snaps[s] = dx.Snapshot()
+			ss.snaps[s] = dx.pin()
 		}
 		ok := true
 		for s, snap := range ss.snaps {
-			if snap.Epoch() != marks[s] {
+			if snap.epoch != marks[s] {
 				ok = false
 				break
 			}
@@ -464,7 +500,7 @@ func (sx *ShardedIndex[P]) Snapshot() *ShardedSnapshot[P] {
 		}
 		mSnapRetries.Inc(sx.stripe)
 		for s, snap := range ss.snaps {
-			snap.Release()
+			snap.release()
 			ss.snaps[s] = nil
 		}
 	}
@@ -474,48 +510,52 @@ func (sx *ShardedIndex[P]) Snapshot() *ShardedSnapshot[P] {
 	obs.RecordEvent("snapshot.fallback", int64(K), 0)
 	sx.barrier.Lock()
 	for s, dx := range sx.shards {
-		ss.snaps[s] = dx.Snapshot()
+		ss.snaps[s] = dx.pin()
 	}
 	sx.barrier.Unlock()
 	return ss
 }
 
-// ShardedSnapshot is an immutable view of a ShardedIndex: one Snapshot
-// per shard, unified under the global-id arithmetic, together pinning the
+// ShardedSnapshot is an immutable view of a ShardedIndex: one pin per
+// shard (its segment list, points prefix and a private tombstone-bitmap
+// clone), unified under the global-id arithmetic, together pinning the
 // whole index at one single instant (see ShardedIndex.Snapshot for the
 // epoch-barrier protocol that guarantees it). Queries, scans and the
-// batch engine run over it lock-free while the live shards keep mutating.
-// Safe for unrestricted concurrent use until Release.
+// batch engine run over it with a free read window — no lock at all —
+// while the live shards keep absorbing inserts, deletes and compactions,
+// so a query stream over one snapshot observes one id set, start to
+// finish. Safe for unrestricted concurrent use until Release.
 type ShardedSnapshot[P any] struct {
 	readPath[P]
-	snaps    []*Snapshot[P]
+	snaps    []*shardSnap[P]
 	released atomic.Bool
 }
 
 // Shards returns the number of shards.
 func (ss *ShardedSnapshot[P]) Shards() int { return len(ss.snaps) }
 
-// Shard returns the s-th per-shard snapshot.
-func (ss *ShardedSnapshot[P]) Shard(s int) *Snapshot[P] { return ss.snaps[s] }
-
 // Len returns the number of live points visible to the snapshot.
 func (ss *ShardedSnapshot[P]) Len() int {
 	n := 0
 	for _, s := range ss.snaps {
-		n += s.Len()
+		n += s.live
 	}
 	return n
 }
 
-// Release releases every per-shard snapshot so segments rewritten by
-// later compactions can be garbage-collected; queries afterwards panic.
-// Idempotent; must not run concurrently with queries on this snapshot.
+// Release drops the snapshot's references to the pinned layers so
+// segments rewritten by later compactions can be garbage-collected;
+// queries afterwards panic. Releasing is optional — an unreferenced
+// snapshot is reclaimed by the garbage collector anyway — but explicit
+// release bounds the lifetime of large pinned segments in long-lived
+// processes. Idempotent; must not run concurrently with queries on this
+// snapshot.
 func (ss *ShardedSnapshot[P]) Release() {
 	if ss.released.Swap(true) {
 		return
 	}
 	for _, s := range ss.snaps {
-		s.Release()
+		s.release()
 	}
 }
 
@@ -525,7 +565,7 @@ func (ss *ShardedSnapshot[P]) Release() {
 func (ss *ShardedSnapshot[P]) Epoch() uint64 {
 	var e uint64
 	for _, s := range ss.snaps {
-		e += s.Epoch()
+		e += s.epoch
 	}
 	return e
 }
@@ -534,27 +574,30 @@ func (ss *ShardedSnapshot[P]) Epoch() uint64 {
 // time; ids outside the assigned range (including negative ids) report
 // false. Panics after Release.
 func (ss *ShardedSnapshot[P]) Deleted(id int) bool {
+	ss.check()
 	if id < 0 {
-		ss.check()
 		return false
 	}
 	K := len(ss.snaps)
-	return ss.snaps[id%K].Deleted(id / K)
+	return ss.snaps[id%K].dead.Get(id / K)
 }
 
 // Point returns the point stored under the given global id at snapshot
-// time; panics for ids never assigned and after Release.
+// time; like ShardedIndex.Point it remains valid for deleted ids. Panics
+// for ids never assigned and after Release.
 func (ss *ShardedSnapshot[P]) Point(id int) P {
+	ss.check()
 	if id < 0 {
 		panic("index: negative point id")
 	}
 	K := len(ss.snaps)
-	return ss.snaps[id%K].Point(id / K)
+	return ss.snaps[id%K].points[id/K]
 }
 
 // AppendLiveIDs appends every live global id visible to the snapshot to
-// dst in ascending order and returns the extended slice; see
-// Snapshot.AppendLiveIDs.
+// dst in ascending order and returns the extended slice — the scan
+// primitive: iterate the pinned id space once, with no locking, while the
+// live index keeps mutating.
 func (ss *ShardedSnapshot[P]) AppendLiveIDs(dst []int) []int {
 	ss.check()
 	K := len(ss.snaps)
@@ -608,7 +651,7 @@ func (ss *ShardedSnapshot[P]) appendCandidates(rep int, key uint64, dst []int32)
 	for s, sn := range ss.snaps {
 		start := len(dst)
 		var p int
-		dst, p = sn.appendCandidates(rep, key, dst)
+		dst, p = appendSegmentCandidates(sn.segments, &sn.dead, rep, key, dst)
 		probes += p
 		for i := start; i < len(dst); i++ {
 			dst[i] = dst[i]*K + int32(s)

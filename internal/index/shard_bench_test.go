@@ -67,7 +67,7 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 	rng := xrand.New(95)
 	const d, n, L = 24, 20000, 24
 	pts := workload.SpherePoints(rng, n, d)
-	dx := NewDynamic(xrand.New(96), dynamicFamily(), L, pts, DynamicOptions{})
+	dx := newOneShard(xrand.New(96), dynamicFamily(), L, pts, DynamicOptions{})
 	dx.Compact()
 	snap := dx.Snapshot()
 	q := workload.SpherePoints(rng, 1, d)[0]

@@ -163,8 +163,11 @@ func TestShardedMatchesSingleShardRebuild(t *testing.T) {
 
 		check("pre-compact")
 		sx.Compact()
-		for s := 0; s < sx.Shards(); s++ {
-			if got := sx.Shard(s).Segments(); got > 1 {
+		for s, sh := range sx.shards {
+			sh.mu.RLock()
+			got := len(sh.segments)
+			sh.mu.RUnlock()
+			if got > 1 {
 				t.Fatalf("seed %d: shard %d has %d segments after Compact", seed, s, got)
 			}
 		}
@@ -330,7 +333,7 @@ func TestShardedConcurrentWriters(t *testing.T) {
 					}
 				}
 				if i%101 == 0 {
-					sx.Shard(mrng.Intn(sx.Shards())).Compact()
+					sx.shards[mrng.Intn(sx.Shards())].Compact()
 				}
 			}
 			idCh <- mine
@@ -427,7 +430,6 @@ func TestShardedGuardMessages(t *testing.T) {
 
 	sx := NewSharded(rng(), fam, 4, pts, ShardOptions{Shards: 2})
 	snap := sx.Snapshot()
-	shardSnap := snap.Shard(0)
 	sx.Close()
 	sx.Close() // idempotent
 	mustPanicMessage(t, "index: Insert on closed ShardedIndex", func() { sx.Insert(pts[0]) })
@@ -441,10 +443,8 @@ func TestShardedGuardMessages(t *testing.T) {
 	mustPanicMessage(t, "index: use of released Snapshot", func() { snap.CollectDistinct(pts[0], 0) })
 	mustPanicMessage(t, "index: use of released Snapshot", func() { snap.AppendLiveIDs(nil) })
 	mustPanicMessage(t, "index: use of released Snapshot", func() { snap.Deleted(0) })
-	mustPanicMessage(t, "index: use of released Snapshot", func() { shardSnap.CollectDistinct(pts[0], 0) })
-	mustPanicMessage(t, "index: use of released Snapshot", func() { shardSnap.Deleted(0) })
+	mustPanicMessage(t, "index: use of released Snapshot", func() { snap.Point(0) })
 	mustPanicMessage(t, "index: use of released Snapshot", func() { snap.QueryBatch(pts, BatchOptions{Workers: 4}) })
 	mustPanicMessage(t, "index: use of released Snapshot", func() { snap.QueryBatchSigned(pts, BatchOptions{Workers: 4}) })
-	mustPanicMessage(t, "index: use of released Snapshot", func() { shardSnap.QueryBatch(pts, BatchOptions{Workers: 4}) })
 	mustPanicMessage(t, "index: negative point id", func() { sx.Point(-1) })
 }

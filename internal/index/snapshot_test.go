@@ -17,7 +17,7 @@ import (
 func TestSnapshotIsolationUnderConcurrentChurn(t *testing.T) {
 	rng := xrand.New(21)
 	pts := workload.SpherePoints(rng, 900, testDim)
-	dx := NewDynamic(xrand.New(22), dynamicFamily(), 12, pts[:300],
+	dx := newOneShard(xrand.New(22), dynamicFamily(), 12, pts[:300],
 		DynamicOptions{MemtableThreshold: 64})
 	for _, p := range pts[300:450] {
 		dx.Insert(p) // leave a non-empty memtable for Snapshot to freeze
@@ -119,7 +119,7 @@ func TestSnapshotMatchesStaticRebuild(t *testing.T) {
 		fam := dynamicFamily()
 		const L = 16
 		initial := workload.SpherePoints(xrand.New(seed*100), 120, testDim)
-		dx := NewDynamic(xrand.New(seed), fam, L, initial, DynamicOptions{MemtableThreshold: 40})
+		dx := newOneShard(xrand.New(seed), fam, L, initial, DynamicOptions{MemtableThreshold: 40})
 		churnDynamic(t, xrand.New(seed*777), dx, 300)
 
 		snap := dx.Snapshot()
@@ -211,7 +211,7 @@ func TestSnapshotMatchesStaticRebuild(t *testing.T) {
 func TestSnapshotSteadyStateZeroAlloc(t *testing.T) {
 	rng := xrand.New(61)
 	pts := workload.SpherePoints(rng, 1500, testDim)
-	dx := NewDynamic(xrand.New(62), dynamicFamily(), 16, pts[:1000], DynamicOptions{MemtableThreshold: 200})
+	dx := newOneShard(xrand.New(62), dynamicFamily(), 16, pts[:1000], DynamicOptions{MemtableThreshold: 200})
 	for _, p := range pts[1000:] {
 		dx.Insert(p)
 	}
@@ -238,10 +238,10 @@ func TestSnapshotInlineFreezeLayerOrder(t *testing.T) {
 	fam := dynamicFamily()
 	const L = 12
 	seedPts := workload.SpherePoints(xrand.New(71), 64, testDim)
-	dx := NewDynamic(xrand.New(72), fam, L, seedPts, DynamicOptions{MemtableThreshold: 16})
+	dx := newOneShard(xrand.New(72), fam, L, seedPts, DynamicOptions{MemtableThreshold: 16})
 
 	rng := xrand.New(73)
-	var snaps []*Snapshot[[]float64]
+	var snaps []*ShardedSnapshot[[]float64]
 	for i := 0; i < 200; i++ {
 		dx.Insert(workload.SpherePoints(rng, 1, testDim)[0])
 		if i%13 == 0 {

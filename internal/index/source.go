@@ -20,18 +20,18 @@ import (
 //
 //   - *Index: the frozen flat-table layout (one immutable table per
 //     repetition, ids 0..Len-1).
-//   - *DynamicIndex: the segmented LSM layout (frozen segments + the live
-//     memtable, global ids, tombstones applied during iteration).
-//   - *ShardedIndex: K DynamicIndex shards probed in shard order,
-//     shard-local ids translated to global ids during iteration.
-//   - *Snapshot / *ShardedSnapshot: pinned, immutable views of the
-//     dynamic backends with a free read window.
+//   - *ShardedIndex: K segmented LSM shards (frozen segments + the live
+//     memtable, tombstones applied during iteration) probed in shard
+//     order, shard-local ids translated to global ids during iteration.
+//   - *ShardedSnapshot: a pinned, immutable view of every shard with a
+//     free read window.
 //
 // Thread-safety contract: appendCandidates and srcPoint may only be
 // called between beginRead and endRead, which bracket exactly one query
-// and pin a consistent snapshot of the backend (the static Index is
-// immutable, so its beginRead is free; the DynamicIndex holds its
-// structural read-lock for the duration). Implementations must allow any
+// and pin a consistent snapshot of the backend (the static Index and a
+// ShardedSnapshot are immutable, so their beginRead is free; the
+// ShardedIndex holds every shard's structural read-lock for the
+// duration). Implementations must allow any
 // number of concurrent beginRead..endRead windows; mutators may block for
 // their duration but must never corrupt an open window.
 type candidateSource[P any] interface {
@@ -48,13 +48,12 @@ type candidateSource[P any] interface {
 	// across repetitions included — deduplication is the caller's job) and
 	// returns the extended slice plus the number of per-layer bucket
 	// lookups performed. Candidate order is the backend's canonical
-	// insertion order: for the dynamic backend and its snapshots that is
-	// ascending global-id order — exactly the order a static Index over
-	// the same live points produces — while the sharded backends iterate
-	// shard-major within a repetition (ascending global id within each
-	// shard), so per-probe candidate *sets* still coincide with a
-	// single-index build but the order, and anything derived from order
-	// under truncation or early termination, may differ.
+	// insertion order: the sharded backends iterate shard-major within a
+	// repetition (ascending id within each shard), so per-probe candidate
+	// *sets* coincide with a static Index over the same live points, and
+	// with one shard so does the order; with several shards the order, and
+	// anything derived from order under truncation or early termination,
+	// may differ.
 	appendCandidates(rep int, key uint64, dst []int32) ([]int32, int)
 	// srcPoint returns the point stored under id, valid only inside a
 	// beginRead..endRead window.
@@ -62,8 +61,7 @@ type candidateSource[P any] interface {
 }
 
 // Source is the exported handle to a serving backend — *Index,
-// *DynamicIndex, *ShardedIndex, *Snapshot or *ShardedSnapshot — and the
-// query surface they share. Callers cannot implement Source themselves
+// *ShardedIndex or *ShardedSnapshot — and the query surface they share. Callers cannot implement Source themselves
 // (it has an unexported method); they obtain one from this package and
 // query it directly, draw Queriers from it, or hand it to NewAnnulusOver
 // or NewRangeReporterOver to bind a predicate veneer to any backend,
@@ -78,7 +76,7 @@ type Source[P any] interface {
 }
 
 // readPath is the query half of every backend, written once and embedded
-// in all five: the L repetition draws (h_i, g_i), sampled once at
+// in all three: the L repetition draws (h_i, g_i), sampled once at
 // construction and immutable afterwards; the per-repetition pre-negated
 // query hashers (nil entries where the fast path is unavailable), aligned
 // with pairs; and the pool of Queriers behind the single-query and batch
@@ -117,11 +115,11 @@ func (rp *readPath[P]) NewQuerier() *Querier[P] {
 
 // CollectDistinct gathers up to max distinct live candidate ids for q
 // (max <= 0 means no limit), deduplicated across repetitions and layers in
-// first-occurrence order. Over a dynamic backend or its snapshots that
-// order equals a static Index's over the same live points; over the
-// sharded backends it is shard-major within each repetition, so when max
-// truncates the collection the first max ids kept may differ from a
-// single-index build even though their count does not. The returned slice
+// first-occurrence order. Over a one-shard index or its snapshots that
+// order equals a static Index's over the same live points; with several
+// shards it is shard-major within each repetition, so when max truncates
+// the collection the first max ids kept may differ from a single-index
+// build even though their count does not. The returned slice
 // is freshly allocated and owned by the caller; a Querier's
 // CollectDistinct is the zero-allocation variant. Safe for concurrent use:
 // the query runs inside one read window, so it sees one consistent layer
@@ -137,9 +135,9 @@ func (rp *readPath[P]) CollectDistinct(q P, max int) []int {
 // Candidates streams the live ids colliding with q, repetition by
 // repetition (duplicates across repetitions included), invoking visit for
 // each; if visit returns false the scan stops early. visit runs inside the
-// query's read window: over a live dynamic or sharded backend it must not
-// call back into that index's mutating or locking methods, or the scan
-// deadlocks (a snapshot's read window takes no lock).
+// query's read window: over a live ShardedIndex it must not call back
+// into that index's mutating or locking methods, or the scan deadlocks (a
+// snapshot's read window takes no lock).
 func (rp *readPath[P]) Candidates(q P, visit func(id int) bool) {
 	qr := rp.acquireSQ()
 	qr.Candidates(q, visit)
@@ -167,7 +165,7 @@ func ownedIDs(res []int) []int {
 //
 // A Querier is not safe for concurrent use; use one per goroutine.
 // Steady-state queries through a warmed Querier perform no heap
-// allocations (a dynamic backend may grow the visited array when the id
+// allocations (a ShardedIndex may grow the visited array when the id
 // space grew since the querier's last use).
 type Querier[P any] struct {
 	rp *readPath[P]

@@ -2,7 +2,7 @@
 // candidateSource core and instantiated over any backend. A veneer holds
 // no storage of its own — it binds a predicate to a Source, so the same
 // AnnulusIndex/RangeReporter type serves a frozen Index, a churning
-// DynamicIndex, a ShardedIndex or a snapshot with identical semantics
+// ShardedIndex or a snapshot of one with identical semantics
 // (and, for identical live points and rng streams, identical results).
 package index
 
@@ -11,8 +11,8 @@ import (
 	"dsh/internal/xrand"
 )
 
-// NewAnnulusOver wraps any serving backend — static, dynamic, sharded, or
-// a snapshot of either — in the Theorem 6.1 annulus-search algorithm. The
+// NewAnnulusOver wraps any serving backend — static, sharded, or a
+// snapshot — in the Theorem 6.1 annulus-search algorithm. The
 // veneer shares the backend's storage (mutations on a live backend are
 // visible to subsequent queries immediately; a snapshot backend stays
 // pinned), several veneers may wrap one backend, and each inherits its
@@ -24,8 +24,8 @@ func NewAnnulusOver[P any](src Source[P], within func(q, x P) bool) *AnnulusInde
 	return &AnnulusIndex[P]{src: src, within: within}
 }
 
-// NewRangeReporterOver wraps any serving backend — static, dynamic,
-// sharded, or a snapshot of either — in the Theorem 6.5 reporting
+// NewRangeReporterOver wraps any serving backend — static, sharded, or a
+// snapshot — in the Theorem 6.5 reporting
 // algorithm; see NewAnnulusOver for the sharing and concurrency contract.
 // NewRangeReporterOver panics when src is nil.
 func NewRangeReporterOver[P any](src Source[P], inRange func(q, x P) bool) *RangeReporter[P] {

@@ -12,10 +12,10 @@ import (
 // TestDynamicVeneersMatchStaticRebuild is the serving-parity differential
 // test of the candidate-source refactor: after an arbitrary interleaving
 // of inserts, deletes, flushes and compactions, the AnnulusIndex and
-// RangeReporter veneers over the DynamicIndex must return exactly what the same veneers return over
-// a static Index rebuilt from the survivors with the same rng stream —
-// same ids (mapped through the survivors' global ids), same work
-// counters, before and after compaction.
+// RangeReporter veneers over a one-shard index must return exactly what
+// the same veneers return over a static Index rebuilt from the survivors
+// with the same rng stream — same ids (mapped through the survivors'
+// global ids), same work counters, before and after compaction.
 func TestDynamicVeneersMatchStaticRebuild(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		fam := sphere.NewAnnulus(testDim, 0.5, 1.6)
@@ -23,12 +23,12 @@ func TestDynamicVeneersMatchStaticRebuild(t *testing.T) {
 		within := withinSim(0.3, 0.7)
 		initial := workload.SpherePoints(xrand.New(seed*100), 120, testDim)
 
-		dx := NewDynamic[[]float64](xrand.New(seed), fam, L, initial,
+		dx := newOneShard[[]float64](xrand.New(seed), fam, L, initial,
 			DynamicOptions{MemtableThreshold: 40})
 		survivors, ids := churnDynamic(t, xrand.New(seed*777), dx, 400)
 
 		// Static rebuild over the survivors with the same rng stream:
-		// NewAnnulus and NewDynamic both consume exactly L Sample
+		// NewAnnulus and NewSharded both consume exactly L Sample
 		// calls, so the repetition draws coincide.
 		staticAI := NewAnnulus[[]float64](xrand.New(seed), fam, L, survivors, within)
 		staticRR := NewRangeReporter[[]float64](xrand.New(seed), fam, L, survivors, within)
@@ -132,17 +132,18 @@ func TestDynamicVeneerBackendAccessors(t *testing.T) {
 }
 
 // TestDynamicQueryBatchStatsMatchStaticRebuild pins the per-query
-// QueryStats of DynamicIndex.QueryBatch against a static rebuild over the
-// survivors: candidate and distinct counts must be identical in every
-// layered state (stats aggregate whole repetitions across all segments
-// plus the memtable, even when MaxCandidates truncates the distinct
-// collection mid-probe), and after Compact the probe counts coincide too.
+// QueryStats of a one-shard index's QueryBatch against a static rebuild
+// over the survivors: candidate and distinct counts must be identical in
+// every layered state (stats aggregate whole repetitions across all
+// segments plus the memtable, even when MaxCandidates truncates the
+// distinct collection mid-probe), and after Compact the probe counts
+// coincide too.
 func TestDynamicQueryBatchStatsMatchStaticRebuild(t *testing.T) {
 	const seed, L = 9, 16
 	fam := dynamicFamily()
 	pts := workload.SpherePoints(xrand.New(seed*10), 300, testDim)
 
-	dx := NewDynamic(xrand.New(seed), fam, L, pts[:150], DynamicOptions{MemtableThreshold: 48})
+	dx := newOneShard(xrand.New(seed), fam, L, pts[:150], DynamicOptions{MemtableThreshold: 48})
 	for _, p := range pts[150:] {
 		dx.Insert(p)
 	}
@@ -200,7 +201,7 @@ func TestDynamicQueryBatchStatsMatchStaticRebuild(t *testing.T) {
 func TestDynamicVeneerSteadyStateZeroAlloc(t *testing.T) {
 	rng := xrand.New(51)
 	pts := workload.SpherePoints(rng, 1500, testDim)
-	dx := NewDynamic(xrand.New(52), dynamicFamily(), 16, pts[:1000], DynamicOptions{MemtableThreshold: 200})
+	dx := newOneShard(xrand.New(52), dynamicFamily(), 16, pts[:1000], DynamicOptions{MemtableThreshold: 200})
 	for _, p := range pts[1000:] {
 		dx.Insert(p)
 	}
