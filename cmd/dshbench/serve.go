@@ -74,7 +74,7 @@ func runServeLoad(w io.Writer, cfg serveLoadConfig) error {
 			routing = index.RouteRoundRobin
 		}
 		ix := index.NewSharded(xrand.New(cfg.Seed), fam, L, nil,
-			index.ShardOptions{Shards: cfg.Shards, Routing: routing})
+			index.ShardOptions{Shards: cfg.Shards, Routing: routing, Dynamic: serve.StoreOptions()})
 		defer ix.Close()
 		for i, p := range workload.SpherePoints(xrand.New(cfg.Seed+1), cfg.Points, cfg.Dim) {
 			if routing == index.RouteHash {

@@ -16,6 +16,11 @@
 // watermark above which queries are refused with 429; it also caps the
 // vectors of one /v1/querybatch request (a larger one gets 413).
 //
+// The index always runs its background compactor (serve.StoreOptions):
+// each snapshot refresh after a write freezes that write into a segment
+// of its own, and the compactor merges those so a query's probe count
+// stays bounded. Merges never renumber ids.
+//
 // With -dir the index is durable: an existing store is recovered
 // (cold-start, zero hash evaluations), an empty directory is initialised
 // and preloaded with -points synthetic sphere points. Without -dir the
@@ -77,7 +82,7 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown -routing %q (want hash or rr)", *routing))
 	}
-	sopts := index.ShardOptions{Shards: *shards, Routing: route}
+	sopts := index.ShardOptions{Shards: *shards, Routing: route, Dynamic: serve.StoreOptions()}
 
 	var ix *index.ShardedIndex[[]float64]
 	switch {
@@ -87,7 +92,7 @@ func main() {
 		log.Printf("in-memory index: %d points, %d shards, L=%d, family=%s", ix.Len(), *shards, famL, *family)
 	case hasManifest(*dir):
 		start := time.Now()
-		ix, err = index.OpenSharded(*dir, fam, durable.Float64Codec{}, index.DynamicOptions{}, durable.Options{})
+		ix, err = index.OpenSharded(*dir, fam, durable.Float64Codec{}, sopts.Dynamic, durable.Options{})
 		if err != nil {
 			fatal(fmt.Errorf("recover %s: %w", *dir, err))
 		}

@@ -623,7 +623,10 @@ type Server = serve.Server
 // flush back, since queries arriving during one flush join the next.
 type ServeOptions = serve.Options
 
-// NewServer builds a serving edge over ix and starts its dispatcher.
+// NewServer builds a serving edge over ix and starts its dispatcher. Build
+// ix with the options dshserve uses (BackgroundCompaction on, under
+// CompactAll), since every snapshot refresh after a write cuts a segment
+// that only a merge removes.
 func NewServer(ix *ShardedIndex[[]float64], opts ServeOptions) *Server {
 	return serve.New(ix, opts)
 }

@@ -16,10 +16,13 @@ import "dsh/internal/bitvec"
 // that finds buffered inserts cuts a new (possibly tiny) segment, so a
 // high snapshot cadence over a trickle of writes fragments the shard —
 // each query pays one extra probe per repetition per extra segment until
-// a merge folds them; enable BackgroundCompaction (or Compact at quiet
-// moments) under such workloads. Reclamation is by reference: segments
-// swapped out by later compactions stay reachable from the pins that hold
-// them and are garbage-collected when the last such pin is released.
+// a merge folds them. The serving edge has exactly that cadence (it
+// re-pins after every write a query follows), so every served index runs
+// with BackgroundCompaction on (serve.StoreOptions); any other caller
+// that pins that often should enable it too, or Compact at quiet
+// moments. Reclamation is by reference: segments swapped out by later
+// compactions stay reachable from the pins that hold them and are
+// garbage-collected when the last such pin is released.
 type shardSnap[P any] struct {
 	// points is a pinned header of the shard's append-only points array;
 	// elements below idBound are immutable.

@@ -42,6 +42,8 @@ var (
 		"server-side query latency (enqueue to result received; reply encoding excluded) in nanoseconds")
 	mSnapRefresh = obs.NewCounter("dsh_serve_snapshot_refreshes_total",
 		"serving-snapshot refreshes triggered by an epoch advance")
+	mSegments = obs.NewGauge("dsh_serve_segments",
+		"frozen segments summed over the served index's shards, read right after the last snapshot refresh's freeze, so possibly before the merge it triggers (each adds one probe per repetition)")
 
 	// Hot-query cache.
 	mCacheHits = obs.NewCounter("dsh_serve_cache_hits_total",

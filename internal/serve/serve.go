@@ -23,6 +23,10 @@
 //     fingerprint of the raw vector bits, confirmed against the stored
 //     vector.
 //
+// The index under the edge runs with StoreOptions: a background compactor
+// merges the segments that snapshot refreshes cut after writes, and the
+// dsh_serve_segments gauge reports how many are left at each refresh.
+//
 // Endpoints: POST /v1/query, /v1/querybatch, /v1/insert, /v1/delete
 // (keyed or round-robin variants matching the index routing), GET
 // /healthz, plus the obshttp metrics plane (/metrics, /debug/vars,
@@ -101,6 +105,21 @@ func (o Options) withDefaults() Options {
 		o.RetryAfter = time.Second
 	}
 	return o
+}
+
+// StoreOptions returns the DynamicOptions of every index the serving edge
+// runs over: the background compactor on, at the default memtable
+// threshold and segment budget, under CompactAll. Each snapshot refresh
+// that follows a write freezes that write into a new segment; once a
+// shard holds more than MaxSegments, the compactor folds them all into one
+// (without rehashing), so the per-query probe count stays bounded instead
+// of growing by one per write. CompactAll drops deleted and upserted-over
+// rows from the tables but never renumbers ids, so an id in any reply
+// names its point for as long as the point is live, under either routing.
+// The price is that those dead rows keep their stored points and
+// tombstone bits: the leveled GC that would reclaim them renumbers ids.
+func StoreOptions() index.DynamicOptions {
+	return index.DynamicOptions{BackgroundCompaction: true, Policy: index.CompactAll}
 }
 
 // Server is the serving edge over one ShardedIndex. Create with New,
@@ -461,6 +480,7 @@ func (s *Server) refreshSnapshot() {
 	s.snap = s.ix.Snapshot()
 	s.snapEpoch = s.snap.Epoch()
 	mSnapRefresh.Inc(s.stripe)
+	mSegments.Set(int64(s.ix.Segments()))
 }
 
 // mixSig folds the candidate bound into a query's hash-key signature —

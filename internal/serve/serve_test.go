@@ -14,6 +14,7 @@ import (
 	"dsh/internal/core"
 	"dsh/internal/durable"
 	"dsh/internal/index"
+	"dsh/internal/obs"
 	"dsh/internal/sphere"
 	"dsh/internal/workload"
 	"dsh/internal/xrand"
@@ -34,10 +35,16 @@ const testL = 8
 // differential tests rely on.
 func newKeyedIndex(t testing.TB, n int) (*index.ShardedIndex[[]float64], [][]float64) {
 	t.Helper()
+	return newKeyedIndexWith(t, n, index.DynamicOptions{MemtableThreshold: 64, Policy: index.CompactLeveled})
+}
+
+// newKeyedIndexWith is newKeyedIndex over the given per-shard options.
+func newKeyedIndexWith(t testing.TB, n int, dyn index.DynamicOptions) (*index.ShardedIndex[[]float64], [][]float64) {
+	t.Helper()
 	ix := index.NewSharded[[]float64](xrand.New(401), testFamily(), testL, nil, index.ShardOptions{
 		Shards:  3,
 		Routing: index.RouteHash,
-		Dynamic: index.DynamicOptions{MemtableThreshold: 64, Policy: index.CompactLeveled},
+		Dynamic: dyn,
 	})
 	pts := workload.SpherePoints(xrand.New(402), n, testDim)
 	for i, p := range pts {
@@ -84,9 +91,37 @@ func wireQuery(t testing.TB, client *http.Client, base string, vec []float64) qu
 // freshly pinned snapshot must be bit-identical to the in-process
 // QueryBatch over that snapshot. A final quiesced phase asserts the same
 // for every probe vector and for the /v1/querybatch endpoint.
+//
+// It runs twice. With compaction off, index structure is a pure function
+// of the mutation history. Under the served store's options, with a
+// memtable small enough that background merges land while the writers
+// run, the churn continues until several merges have; merges keep every
+// id and the candidate order, so the epoch-matched comparisons must still
+// hold.
 func TestServeEndToEndDifferentialUnderChurn(t *testing.T) {
-	ix, _ := newKeyedIndex(t, 300)
-	defer ix.Close()
+	t.Run("compaction-off", func(t *testing.T) {
+		ix, _ := newKeyedIndex(t, 300)
+		defer ix.Close()
+		churnDifferential(t, ix, false)
+	})
+	t.Run("served-store", func(t *testing.T) {
+		dyn := StoreOptions()
+		dyn.MemtableThreshold = 16
+		ix, _ := newKeyedIndexWith(t, 300, dyn)
+		defer ix.Close()
+		churnDifferential(t, ix, true)
+	})
+}
+
+// churnDifferential runs the churn and quiesced phases of
+// TestServeEndToEndDifferentialUnderChurn over ix. With compacting set,
+// the churn lasts until the background compactor has merged at least
+// churnMerges times (failing after 20 s), and the quiesced phase starts
+// with an explicit Compact, so its answers come from one settled segment
+// per shard.
+func churnDifferential(t *testing.T, ix *index.ShardedIndex[[]float64], compacting bool) {
+	const churnMerges = 10
+	before := obs.Default.Snapshot()
 	srv := New(ix, Options{
 		Dim:       testDim,
 		BatchSize: 8,
@@ -175,12 +210,27 @@ func TestServeEndToEndDifferentialUnderChurn(t *testing.T) {
 	}()
 
 	time.Sleep(300 * time.Millisecond)
+	if compacting {
+		deadline := time.Now().Add(20 * time.Second)
+		for counterDelta(before, "dsh_compactions_all_total") < churnMerges &&
+			time.Now().Before(deadline) && !t.Failed() {
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
 	stop.Store(true)
 	wg.Wait()
 	if t.Failed() {
 		return
 	}
 	t.Logf("during-churn epoch-matched comparisons: %d", matched.Load())
+	if compacting {
+		merges := counterDelta(before, "dsh_compactions_all_total")
+		t.Logf("background merges during churn: %d", merges)
+		if merges < churnMerges {
+			t.Fatalf("churn ended after %d background merges, want at least %d", merges, churnMerges)
+		}
+		ix.Compact()
+	}
 
 	// Quiesced phase: no writers, so every wire answer must be at the
 	// live epoch and bit-identical to the in-process result.
@@ -399,7 +449,7 @@ func TestServeMetricsMounted(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics: status %d", resp.StatusCode)
 	}
-	for _, series := range []string{"dsh_serve_requests_total", "dsh_serve_queries_total", "dsh_serve_batches_total"} {
+	for _, series := range []string{"dsh_serve_requests_total", "dsh_serve_queries_total", "dsh_serve_batches_total", "dsh_serve_segments"} {
 		if !bytes.Contains(body, []byte(series)) {
 			t.Fatalf("/metrics missing %s", series)
 		}
