@@ -68,12 +68,12 @@ func main() {
 	batch := flag.Int("batch", 256, "throughput/churn: queries per batch")
 	workers := flag.Int("workers", 0, "throughput/churn: batch workers (0 = GOMAXPROCS)")
 	dim := flag.Int("dim", 24, "throughput/churn: dimension")
-	family := flag.String("family", "", "throughput/churn: serving hash family (fastcp, simhash or batchsimhash; default: the annulus family in -throughput, simhash in -churn)")
+	family := flag.String("family", "", "throughput/churn/serve: serving hash family (fastcp or simhash; default: the annulus family in -throughput, simhash in -churn and -serve)")
 	policy := flag.String("policy", "all", "churn: background compaction policy (all or leveled)")
 	shards := flag.Int("shards", 1, "churn, recover: ShardedIndex shard count (churn: >1 runs the multi-writer variant beside a one-shard baseline)")
 	writers := flag.Int("writers", 1, "churn: concurrent insert/delete goroutines (multi-writer benchmark)")
 	deletes := flag.Float64("deletes", 0.25, "churn: per-insert probability of a trailing delete")
-	routing := flag.String("routing", "rr", "churn: insert routing (rr = dense round-robin ids via Insert, hash = keyed upserts via InsertKeyed)")
+	routing := flag.String("routing", "", "churn/serve: insert routing (rr = dense round-robin ids via Insert, hash = keyed upserts via InsertKeyed; default rr in -churn, hash in -serve, which must match the server's)")
 	serveMode := flag.Bool("serve", false, "run the serving-edge load-generator mode (real HTTP connections, client-observed latency percentiles)")
 	serveAddr := flag.String("serveaddr", "", "serve: target address of a running dshserve (empty = self-host on 127.0.0.1:0 and report in-process coalescing/cache metrics)")
 	conns := flag.Int("conns", 16, "serve: concurrent client connections")

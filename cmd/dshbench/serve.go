@@ -32,7 +32,7 @@ type serveLoadConfig struct {
 	Seed      uint64  // rng seed for data and op mix
 	Shards    int     // self-host: shard count
 	Family    string  // self-host: serving hash family ("" = simhash)
-	Routing   string  // self-host: "hash" or "rr"
+	Routing   string  // "hash" (or "") for keyed inserts, "rr" for unkeyed ones
 	Addr      string  // target base address; "" = self-host on 127.0.0.1:0
 	Conns     int     // concurrent client connections
 	WriteFrac float64 // fraction of ops that are inserts
@@ -43,10 +43,10 @@ type serveLoadConfig struct {
 }
 
 // runServeLoad drives the serving edge over real sockets: Conns
-// goroutines issue a WriteFrac/1-WriteFrac mix of keyed inserts and
-// single queries, queries drawn from a HotSet-sized working set with
-// probability HotFrac (exercising the hot-query cache) and from the full
-// sphere otherwise. Reports QPS and client-observed latency percentiles
+// goroutines send a WriteFrac/1-WriteFrac mix of inserts (keyed unless
+// Routing is "rr") and single queries, queries drawn from a HotSet-sized
+// working set with probability HotFrac (exercising the hot-query cache)
+// and from the full sphere otherwise. Reports QPS and client-observed latency percentiles
 // split by op class, plus shed counts; self-hosted runs add dispatcher
 // batch and cache-hit-rate lines from the in-process metrics plane.
 func runServeLoad(w io.Writer, cfg serveLoadConfig) error {
@@ -55,6 +55,11 @@ func runServeLoad(w io.Writer, cfg serveLoadConfig) error {
 	}
 	if cfg.WriteFrac < 0 || cfg.WriteFrac > 1 || cfg.HotFrac < 0 || cfg.HotFrac > 1 {
 		return fmt.Errorf("-writefrac and -hotfrac must be in [0, 1]")
+	}
+	switch cfg.Routing {
+	case "", "hash", "rr":
+	default:
+		return fmt.Errorf("unknown -routing %q (want hash or rr)", cfg.Routing)
 	}
 
 	base := cfg.Addr
@@ -97,8 +102,8 @@ func runServeLoad(w io.Writer, cfg serveLoadConfig) error {
 		go httpSrv.Serve(ln)
 		defer httpSrv.Close()
 		base = "http://" + ln.Addr().String()
-		fmt.Fprintf(w, "serve-load self-hosted on %s (family=%s L=%d shards=%d points=%d)\n",
-			base, famName, L, cfg.Shards, cfg.Points)
+		fmt.Fprintf(w, "serve-load self-hosted on %s (family=%s L=%d shards=%d points=%d routing=%s)\n",
+			base, famName, L, cfg.Shards, cfg.Points, orDefault(cfg.Routing, "hash"))
 		before = dsh.Metrics()
 	} else if len(base) >= 1 && base[0] == ':' {
 		base = "http://127.0.0.1" + base
@@ -141,7 +146,7 @@ func runServeLoad(w io.Writer, cfg serveLoadConfig) error {
 					path = "/v1/insert"
 					key := rng.Uint64() % uint64(cfg.Points+1)
 					v := vec.RandomUnit(coldRng, cfg.Dim)
-					if cfg.Routing == "rr" && cfg.Addr == "" {
+					if cfg.Routing == "rr" {
 						body = map[string]any{"vector": v}
 					} else {
 						body = map[string]any{"key": key, "vector": v}

@@ -55,7 +55,7 @@ func main() {
 	L := flag.Int("l", 0, "repetitions (0 = family default)")
 	shards := flag.Int("shards", 4, "shard count")
 	seed := flag.Uint64("seed", 7, "random seed for hash draws and preload data")
-	family := flag.String("family", "simhash", "hash family (fastcp, simhash or batchsimhash)")
+	family := flag.String("family", "simhash", "hash family (fastcp or simhash)")
 	routing := flag.String("routing", "hash", "insert routing: hash (keyed upserts) or rr (dense round-robin ids)")
 	dir := flag.String("dir", "", "durable store directory (empty = in-memory index)")
 	batch := flag.Int("batch", 64, "most parked queries one dispatcher flush takes")

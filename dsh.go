@@ -78,7 +78,8 @@ type (
 	// BatchHasher is a Hasher that evaluates whole blocks of points per
 	// call, emitting bit-identical keys to point-at-a-time Hash; the index
 	// batch engine and builders use it to keep one repetition's draws
-	// cache-resident while a block streams through.
+	// cache-resident while a block streams through. FastCrossPolytope's
+	// and Power(SimHash(d), k)'s hashers implement it.
 	BatchHasher[P any] = core.BatchHasher[P]
 	// CPF is a collision probability function with domain metadata.
 	CPF = core.CPF
@@ -99,6 +100,9 @@ const (
 func Concat[P any](parts ...Family[P]) Family[P] { return core.Concat(parts...) }
 
 // Power returns the k-fold concatenation of fam with itself (CPF f^k).
+// Power(SimHash(d), k) with k >= 2 is a fused concatenation whose hashers
+// pack the k hyperplanes row-major and implement BatchHasher; its draws,
+// name, keys and CPF are exactly Concat's.
 func Power[P any](fam Family[P], k int) Family[P] { return core.Power(fam, k) }
 
 // Mixture returns the convex combination of families (CPF sum w_i f_i).
@@ -178,12 +182,6 @@ func FastCrossPolytope(d int) Family[[]float64] { return sphere.FastCrossPolytop
 // FastAntiCrossPolytope returns the query-negated fast CP- family, the
 // structured-rotation analogue of AntiCrossPolytope.
 func FastAntiCrossPolytope(d int) Family[[]float64] { return sphere.FastAntiCrossPolytope(d) }
-
-// PackedSimHash returns k independent SimHash hyperplanes packed row-major
-// into one matrix whose hasher emits the k sign bits as a single key: the
-// CPF equals Power(SimHash(d), k)'s, but the hashers implement BatchHasher
-// and evaluate query blocks as a cache-blocked matrix product.
-func PackedSimHash(d, k int) Family[[]float64] { return sphere.PackedSimHash(d, k) }
 
 // Filter is the Section 2.2 cap-sequence family (Theorem 1.2).
 type Filter = sphere.Filter

@@ -99,15 +99,14 @@ func TestFacadeFastHashFamilies(t *testing.T) {
 		}
 	}
 
-	packed := dsh.PackedSimHash(24, 6)
 	power := dsh.Power(dsh.SimHash(24), 6)
 	for _, a := range []float64{-0.5, 0, 0.6} {
-		if math.Abs(packed.CPF().Eval(a)-power.CPF().Eval(a)) > 1e-12 {
-			t.Errorf("PackedSimHash CPF differs from Power(SimHash) at %v", a)
+		if want := math.Pow(1-math.Acos(a)/math.Pi, 6); math.Abs(power.CPF().Eval(a)-want) > 1e-12 {
+			t.Errorf("Power(SimHash, 6) CPF at %v is %v, want %v", a, power.CPF().Eval(a), want)
 		}
 	}
-	if _, ok := packed.Sample(rng).H.(dsh.BatchHasher[[]float64]); !ok {
-		t.Fatal("PackedSimHash hasher should implement dsh.BatchHasher")
+	if _, ok := power.Sample(rng).H.(dsh.BatchHasher[[]float64]); !ok {
+		t.Fatal("Power(SimHash) hasher should implement dsh.BatchHasher")
 	}
 }
 

@@ -34,12 +34,24 @@ func Concat[P any](parts ...Family[P]) Family[P] {
 	return concatFamily[P]{parts: parts}
 }
 
+// fusedPower is implemented by families that provide their own k-fold
+// concatenation: a family that draws, names, hashes and evaluates its CPF
+// exactly as Concat of k draws of the receiver does, only faster.
+type fusedPower[P any] interface {
+	Power(k int) Family[P]
+}
+
 // Power returns the k-fold concatenation of family with itself, with CPF
 // f(x)^k. This is the classical amplification ("powering") technique the
-// paper invokes to drive collision probabilities below 1/n.
+// paper invokes to drive collision probabilities below 1/n. For k >= 2 it
+// returns the family's fused concatenation when the family provides one
+// (sphere.SimHash does); Power(f, 1) is f.
 func Power[P any](family Family[P], k int) Family[P] {
 	if k <= 0 {
 		panic("core: Power requires k >= 1")
+	}
+	if fp, ok := family.(fusedPower[P]); ok && k >= 2 {
+		return fp.Power(k)
 	}
 	parts := make([]Family[P], k)
 	for i := range parts {
@@ -98,7 +110,7 @@ type combinedHasher[P any] struct {
 func (c combinedHasher[P]) Hash(x P) uint64 {
 	acc := uint64(len(c.parts))
 	for _, h := range c.parts {
-		acc = combine(acc, h.Hash(x))
+		acc = Combine(acc, h.Hash(x))
 	}
 	return acc
 }
@@ -113,7 +125,7 @@ type combinedNegHasher[P any] struct {
 func (c combinedNegHasher[P]) HashNeg(neg []float64) uint64 {
 	acc := uint64(len(c.negs))
 	for _, ng := range c.negs {
-		acc = combine(acc, ng.HashNeg(neg))
+		acc = Combine(acc, ng.HashNeg(neg))
 	}
 	return acc
 }
@@ -215,7 +227,7 @@ type taggedHasher[P any] struct {
 	inner Hasher[P]
 }
 
-func (t taggedHasher[P]) Hash(x P) uint64 { return combine(t.tag, t.inner.Hash(x)) }
+func (t taggedHasher[P]) Hash(x P) uint64 { return Combine(t.tag, t.inner.Hash(x)) }
 
 // taggedNegHasher preserves the component's HashNeg fast path through the
 // mixture tag.
@@ -225,7 +237,7 @@ type taggedNegHasher[P any] struct {
 }
 
 func (t taggedNegHasher[P]) HashNeg(neg []float64) uint64 {
-	return combine(t.tag, t.neg.HashNeg(neg))
+	return Combine(t.tag, t.neg.HashNeg(neg))
 }
 
 func (m mixtureFamily[P]) CPF() CPF {

@@ -116,10 +116,12 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// combine folds the next value into a running combined hash. Equal
+// Combine folds the next value into a running combined hash. Equal
 // sequences produce equal results; unequal sequences collide with
-// probability ~2^-64.
-func combine(acc, next uint64) uint64 {
+// probability ~2^-64. It is the digest Concat folds its component keys
+// with, starting from the number of components, exported so a family's
+// fused concatenation (see Power) can emit exactly Concat's keys.
+func Combine(acc, next uint64) uint64 {
 	return mix64(acc ^ (next + 0x9e3779b97f4a7c15 + (acc << 6) + (acc >> 2)))
 }
 

@@ -7,6 +7,20 @@ import (
 	"dsh/internal/core"
 )
 
+// hashColumn fills keys[j] with h.Hash(points[j]), through one HashBatch
+// call when h implements core.BatchHasher (whose contract makes the keys
+// bit-identical). Every build, join repetition and query block hashes its
+// columns here.
+func hashColumn[P any](h core.Hasher[P], points []P, keys []uint64) {
+	if bh, ok := h.(core.BatchHasher[P]); ok {
+		bh.HashBatch(points, keys)
+		return
+	}
+	for j, p := range points {
+		keys[j] = h.Hash(p)
+	}
+}
+
 // blockHashMinQueries is the smallest batch that takes the pre-hash path:
 // below it the key block's bookkeeping outweighs the cache-residency win
 // of streaming queries through one repetition's draws.
@@ -138,20 +152,13 @@ func (rp *readPath[P]) blockHashAll(queries []P, workers int) *blockKeys {
 	bk := acquireBlockKeys(l, qn)
 	hashRep := func(i int) {
 		out := bk.keys[i*qn : (i+1)*qn]
-		if bh, ok := pairs[i].G.(core.BatchHasher[P]); ok {
-			bh.HashBatch(queries, out)
-			return
-		}
-		if nh := negG[i]; nh != nil && negs != nil {
+		if _, ok := pairs[i].G.(core.BatchHasher[P]); !ok && negG[i] != nil && negs != nil {
 			for j, nq := range negs {
-				out[j] = nh.HashNeg(nq)
+				out[j] = negG[i].HashNeg(nq)
 			}
 			return
 		}
-		g := pairs[i].G
-		for j, q := range queries {
-			out[j] = g.Hash(q)
-		}
+		hashColumn(pairs[i].G, queries, out)
 	}
 	if workers > l {
 		workers = l

@@ -19,15 +19,15 @@ func statsEqualIgnoringLatency(a, b QueryStats) bool {
 }
 
 // blockHashFamilies covers every per-repetition path blockHash can take:
-// the core.BatchHasher fast path (fast cross-polytope, packed simhash),
-// the HashNeg pre-negated path (the anti families' negatedHasher is not a
-// BatchHasher), and the scalar g.Hash fallback (Power-of-SimHash hashers
-// are combinedHashers).
+// the core.BatchHasher fast path (fast cross-polytope, and Power of
+// SimHash, whose fused hasher is row-packed), the HashNeg pre-negated path
+// (the anti families' negatedHasher is not a BatchHasher), and the scalar
+// g.Hash fallback (an explicit Concat's hashers are combinedHashers).
 var blockHashFamilies = map[string]core.Family[[]float64]{
-	"fastcp":        sphere.FastCrossPolytope(testDim),
-	"fastanticp":    sphere.FastAntiCrossPolytope(testDim),
-	"batchsimhash":  sphere.PackedSimHash(testDim, 6),
-	"power-simhash": core.Power[[]float64](sphere.SimHash(testDim), 4),
+	"fastcp":         sphere.FastCrossPolytope(testDim),
+	"fastanticp":     sphere.FastAntiCrossPolytope(testDim),
+	"power-simhash":  core.Power[[]float64](sphere.SimHash(testDim), 4),
+	"concat-simhash": core.Concat(sphere.SimHash(testDim), sphere.SimHash(testDim), sphere.SimHash(testDim), sphere.SimHash(testDim)),
 }
 
 // TestBatchHashIdenticalToScalar is the engine-level differential test:
@@ -68,7 +68,7 @@ func TestBatchHashIdenticalToScalar(t *testing.T) {
 // computes for that (repetition, query) cell, for both the plain and the
 // negated-query families.
 func TestBatchHashKeyBlockMatchesGKeys(t *testing.T) {
-	for _, name := range []string{"fastcp", "fastanticp", "power-simhash"} {
+	for _, name := range []string{"fastcp", "fastanticp", "power-simhash", "concat-simhash"} {
 		fam := blockHashFamilies[name]
 		t.Run(name, func(t *testing.T) {
 			rng := xrand.New(52)
@@ -184,18 +184,42 @@ func (s scalarOnly) Sample(rng *xrand.Rand) core.Pair[[]float64] {
 	}
 }
 
-// TestBatchHashBuildPathIdentical checks Index.New's HashBatch build fast
-// path: an index built through HashBatch must be probe-for-probe identical
-// to one built through per-point Hash calls over the same draws.
+// TestBatchHashBuildPathIdentical checks the HashBatch build fast path of
+// every builder that hashes a column of points (Index.New, NewParallel
+// and NewSharded's initial segments): each must be probe-for-probe
+// identical to the same build through per-point Hash calls over the same
+// draws.
 func TestBatchHashBuildPathIdentical(t *testing.T) {
-	for _, name := range []string{"fastcp", "batchsimhash"} {
+	for _, name := range []string{"fastcp", "power-simhash"} {
 		fam := blockHashFamilies[name]
 		t.Run(name, func(t *testing.T) {
+			if _, ok := fam.Sample(xrand.New(1)).H.(core.BatchHasher[[]float64]); !ok {
+				t.Fatalf("%s hasher should implement core.BatchHasher", name)
+			}
 			pts := workload.SpherePoints(xrand.New(56), 300, testDim)
 			batched := New(xrand.New(57), fam, 12, pts)
 			scalar := New(xrand.New(57), scalarOnly{inner: fam}, 12, pts)
 			if !reflect.DeepEqual(batched.tables, scalar.tables) {
-				t.Fatal("HashBatch-built tables differ from Hash-built tables")
+				t.Fatal("New: HashBatch-built tables differ from Hash-built tables")
+			}
+			batched = NewParallel(xrand.New(58), fam, 12, pts)
+			scalar = NewParallel(xrand.New(58), scalarOnly{inner: fam}, 12, pts)
+			if !reflect.DeepEqual(batched.tables, scalar.tables) {
+				t.Fatal("NewParallel: HashBatch-built tables differ from Hash-built tables")
+			}
+			opts := ShardOptions{Shards: 3}
+			sb := NewSharded(xrand.New(59), fam, 12, pts, opts)
+			defer sb.Close()
+			ss := NewSharded(xrand.New(59), scalarOnly{inner: fam}, 12, pts, opts)
+			defer ss.Close()
+			for s := range sb.shards {
+				b, c := sb.shards[s].segments, ss.shards[s].segments
+				if len(b) != 1 || len(c) != 1 {
+					t.Fatalf("shard %d: %d and %d initial segments, want 1", s, len(b), len(c))
+				}
+				if !reflect.DeepEqual(b[0].keys, c[0].keys) || !reflect.DeepEqual(b[0].tables, c[0].tables) {
+					t.Fatalf("NewSharded shard %d: HashBatch-built segment differs from Hash-built segment", s)
+				}
 			}
 		})
 	}

@@ -119,14 +119,7 @@ func New[P any](rng *xrand.Rand, family core.Family[P], L int, points []P) *Inde
 	keys := make([]uint64, len(points))
 	for i := 0; i < L; i++ {
 		ix.pairs[i] = family.Sample(rng)
-		h := ix.pairs[i].H
-		if bh, ok := h.(core.BatchHasher[P]); ok {
-			bh.HashBatch(points, keys)
-		} else {
-			for j, p := range points {
-				keys[j] = h.Hash(p)
-			}
-		}
+		hashColumn(ix.pairs[i].H, points, keys)
 		ix.tables[i] = buildFlatTable(keys)
 	}
 	ix.freezeNegG()

@@ -91,13 +91,7 @@ func joinWorkers[P any](rng *xrand.Rand, fam core.Family[P], L int, setA, setB [
 	// not share buffers.
 	scanRep := func(rep int, keys []uint64, emit func(a, b int32)) {
 		pair := pairs[rep]
-		if bh, ok := pair.H.(core.BatchHasher[P]); ok {
-			bh.HashBatch(setA, keys)
-		} else {
-			for i, p := range setA {
-				keys[i] = pair.H.Hash(p)
-			}
-		}
+		hashColumn(pair.H, setA, keys)
 		table := buildFlatTable(keys)
 		for j, q := range setB {
 			key := pair.G.Hash(q)
@@ -246,10 +240,7 @@ func NewParallel[P any](rng *xrand.Rand, family core.Family[P], L int, points []
 			keys := make([]uint64, len(points))
 			for i := range next {
 				ix.pairs[i] = family.Sample(rngs[i])
-				h := ix.pairs[i].H
-				for j, p := range points {
-					keys[j] = h.Hash(p)
-				}
+				hashColumn(ix.pairs[i].H, points, keys)
 				ix.tables[i] = buildFlatTable(keys)
 			}
 		}()

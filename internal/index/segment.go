@@ -88,10 +88,7 @@ func buildSegment[P any](pairs []core.Pair[P], points []P, globalIDs []int32) *s
 	}
 	for i, pair := range pairs {
 		keys := make([]uint64, len(points))
-		h := pair.H
-		for j, p := range points {
-			keys[j] = h.Hash(p)
-		}
+		hashColumn(pair.H, points, keys)
 		seg.keys[i] = keys
 		seg.tables[i] = buildFlatTable(keys)
 	}

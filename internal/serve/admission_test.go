@@ -3,10 +3,14 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"dsh/internal/workload"
+	"dsh/internal/xrand"
 )
 
 // waitFor polls cond until it holds, failing the test after five seconds.
@@ -132,6 +136,62 @@ func TestCoalesceParkedDuringFlush(t *testing.T) {
 	}
 	if d := mCoalesced.Value() - coalesced; d != 1 {
 		t.Fatalf("%d coalesced batches, want 1", d)
+	}
+}
+
+// TestQueryBatchEpochAcrossSweeps pins the epoch a /v1/querybatch reply
+// names. A batch of BatchSize+1 vectors leaves in two dispatcher sweeps,
+// and an insert between them moves the serving snapshot: the reply names
+// the first sweep's, older, epoch and sets mixed. A batch answered in one
+// sweep names that sweep's epoch, with mixed false.
+func TestQueryBatchEpochAcrossSweeps(t *testing.T) {
+	const batchSize = 4
+	for _, tc := range []struct {
+		n     int
+		mixed bool
+	}{{batchSize + 1, true}, {batchSize, false}} {
+		srv, open := newGatedServer(t, Options{BatchSize: batchSize, CacheSize: -1})
+		// Every flush reports its snapshot's epoch, then inserts a point,
+		// so the next sweep refreshes onto a newer snapshot. Only the
+		// dispatcher runs the hook.
+		sweeps := make(chan uint64, 3) // the blocker's flush and at most two sweeps
+		gated, key := srv.co.flush, uint64(1000)
+		srv.co.flush = func(batch []*pending) {
+			gated(batch)
+			sweeps <- srv.snapEpoch
+			key++
+			srv.ix.InsertKeyed(key, batch[0].vec)
+		}
+		blocker := queryAsync(srv)
+		waitReceived(t, srv.co, 1) // the blocker holds the dispatcher in its flush
+		body, err := json.Marshal(batchRequest{Vectors: workload.SpherePoints(xrand.New(404), tc.n, testDim)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply := make(chan *httptest.ResponseRecorder, 1)
+		go func() {
+			rr := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/querybatch", bytes.NewReader(body)))
+			reply <- rr
+		}()
+		waitFor(t, "the batch to park", func() bool { return len(srv.co.intake) == tc.n })
+		open()
+		<-blocker
+		rr := <-reply
+		var br batchResponse
+		if err := json.Unmarshal(rr.Body.Bytes(), &br); rr.Code != http.StatusOK || err != nil {
+			t.Fatalf("batch of %d: status %d, body %s, err %v", tc.n, rr.Code, rr.Body.String(), err)
+		}
+		<-sweeps // the blocker's flush
+		first := <-sweeps
+		if tc.mixed {
+			if second := <-sweeps; second <= first {
+				t.Fatalf("sweep epochs %d then %d: the insert did not move the snapshot", first, second)
+			}
+		}
+		if br.Epoch != first || br.Mixed != tc.mixed {
+			t.Fatalf("batch of %d: epoch %d mixed %v, want epoch %d mixed %v", tc.n, br.Epoch, br.Mixed, first, tc.mixed)
+		}
 	}
 }
 

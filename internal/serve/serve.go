@@ -350,7 +350,16 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		select {
 		case res := <-p.done:
 			resp.Results[i] = res.ids
-			resp.Epoch = res.epoch
+			// A batch larger than one sweep is answered by several
+			// flushes, each from the snapshot current at its refresh:
+			// report the oldest, and flag that more than one answered.
+			switch {
+			case i == 0:
+				resp.Epoch = res.epoch
+			case res.epoch != resp.Epoch:
+				resp.Mixed = true
+				resp.Epoch = min(resp.Epoch, res.epoch)
+			}
 			if res.cached {
 				resp.Cached++
 			}

@@ -76,11 +76,14 @@ type queryResponse struct {
 	Cached bool   `json:"cached"`
 }
 
-// batchResponse answers /v1/querybatch; Cached counts how many of the
-// batch's queries were answered from the hot-query cache.
+// batchResponse answers /v1/querybatch. Epoch is the oldest snapshot
+// epoch among the results, and Mixed says whether they came from more
+// than one snapshot; Cached counts how many of the batch's queries were
+// answered from the hot-query cache.
 type batchResponse struct {
 	Results [][]int `json:"results"`
 	Epoch   uint64  `json:"epoch"`
+	Mixed   bool    `json:"mixed"`
 	Cached  int     `json:"cached"`
 }
 
@@ -623,6 +626,7 @@ func (r batchResponse) appendJSON(b []byte) []byte {
 		b = appendIDs(b, ids)
 	}
 	b = strconv.AppendUint(append(b, `],"epoch":`...), r.Epoch, 10)
+	b = strconv.AppendBool(append(b, `,"mixed":`...), r.Mixed)
 	b = strconv.AppendInt(append(b, `,"cached":`...), int64(r.Cached), 10)
 	return append(b, "}\n"...)
 }

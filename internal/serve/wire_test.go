@@ -166,6 +166,8 @@ func TestWireReplyFormat(t *testing.T) {
 			queryResponse{IDs: []int{1}, Epoch: 1 << 63}},
 		{"batch", batchResponse{Results: [][]int{nil, {3, 1}, {}}, Epoch: 1 << 63, Cached: 2},
 			batchResponse{Results: [][]int{{}, {3, 1}, {}}, Epoch: 1 << 63, Cached: 2}},
+		{"batch mixed", batchResponse{Results: [][]int{{4}, {9}}, Epoch: 7, Mixed: true},
+			batchResponse{Results: [][]int{{4}, {9}}, Epoch: 7, Mixed: true}},
 		{"batch one uncached", batchResponse{Results: [][]int{{5}}, Epoch: 0},
 			batchResponse{Results: [][]int{{5}}, Epoch: 0}},
 		{"insert", insertResponse{ID: 0, Epoch: 1 << 63}, insertResponse{ID: 0, Epoch: 1 << 63}},

@@ -156,10 +156,10 @@ func TestFastCrossPolytopeBatchIdentical(t *testing.T) {
 
 func TestPackedSimHashBatchIdentical(t *testing.T) {
 	rng := xrand.New(10)
-	pair := PackedSimHash(24, 7).Sample(rng)
+	pair := core.Power[Point](SimHash(24), 7).Sample(rng)
 	bh, ok := pair.H.(core.BatchHasher[Point])
 	if !ok {
-		t.Fatal("packed simhash hasher must implement core.BatchHasher")
+		t.Fatal("Power(SimHash) hasher must implement core.BatchHasher")
 	}
 	points := make([]Point, 99)
 	for i := range points {
@@ -175,15 +175,82 @@ func TestPackedSimHashBatchIdentical(t *testing.T) {
 }
 
 func TestPackedSimHashEmpirical(t *testing.T) {
-	checkSphereCPF(t, PackedSimHash(testDim, 4), []float64{-0.5, 0, 0.5, 0.9}, 20000)
+	checkSphereCPF(t, core.Power[Point](SimHash(testDim), 4), []float64{-0.5, 0, 0.5, 0.9}, 20000)
 }
 
 func TestPackedSimHashCPFMatchesPower(t *testing.T) {
-	packed := PackedSimHash(testDim, 6).CPF()
-	power := core.Power[Point](SimHash(testDim), 6).CPF()
+	fused := core.Power[Point](SimHash(testDim), 6).CPF()
 	for _, a := range []float64{-0.9, -0.3, 0, 0.4, 0.8} {
-		if math.Abs(packed.Eval(a)-power.Eval(a)) > 1e-12 {
-			t.Errorf("CPF mismatch at %v: packed %v vs power %v", a, packed.Eval(a), power.Eval(a))
+		if want := math.Pow(SimHashCPF(a), 6); math.Abs(fused.Eval(a)-want) > 1e-12 {
+			t.Errorf("CPF mismatch at %v: Power(SimHash, 6) %v vs SimHashCPF^6 %v", a, fused.Eval(a), want)
+		}
+	}
+}
+
+// TestPackedSimHashMatchesConcat is the differential behind Power's fused
+// SimHash^k: against Concat of k explicitly listed SimHash(d) parts (the
+// generic path) it must consume the same rng draws, carry the same name,
+// emit the same H and G keys and evaluate the same CPF, bit for bit; its
+// HashBatch must equal Hash on every block size, without allocating.
+func TestPackedSimHashMatchesConcat(t *testing.T) {
+	const draws, npts = 3, 2000
+	for _, d := range []int{16, 64, 256} {
+		for _, k := range []int{2, 6, 8, 70} {
+			parts := make([]core.Family[Point], k)
+			for i := range parts {
+				parts[i] = SimHash(d)
+			}
+			generic := core.Concat(parts...)
+			fused := core.Power[Point](SimHash(d), k)
+			if _, ok := fused.(simHashPower); !ok {
+				t.Fatalf("Power(SimHash(%d), %d) is %T, want the fused simHashPower", d, k, fused)
+			}
+			if fused.Name() != generic.Name() {
+				t.Fatalf("d=%d k=%d: name %q, want %q", d, k, fused.Name(), generic.Name())
+			}
+			gc, fc := generic.CPF(), fused.CPF()
+			for a := -1.0; a <= 1.0; a += 1.0 / 64 {
+				if g, f := gc.Eval(a), fc.Eval(a); math.Float64bits(g) != math.Float64bits(f) {
+					t.Fatalf("d=%d k=%d alpha=%v: CPF %v, want %v", d, k, a, f, g)
+				}
+			}
+			prng := xrand.New(uint64(d*1000 + k))
+			points := make([]Point, npts)
+			for i := range points {
+				points[i] = vec.RandomUnit(prng, d)
+			}
+			grng, frng := xrand.New(uint64(k)), xrand.New(uint64(k))
+			for draw := 0; draw < draws; draw++ {
+				gp, fp := generic.Sample(grng), fused.Sample(frng)
+				if g, f := grng.Uint64(), frng.Uint64(); g != f {
+					t.Fatalf("d=%d k=%d draw %d: rng after Sample %d, want %d", d, k, draw, f, g)
+				}
+				for i, p := range points {
+					if g, f := gp.H.Hash(p), fp.H.Hash(p); g != f {
+						t.Fatalf("d=%d k=%d draw %d point %d: H key %d, want %d", d, k, draw, i, f, g)
+					}
+					if g, f := gp.G.Hash(p), fp.G.Hash(p); g != f {
+						t.Fatalf("d=%d k=%d draw %d point %d: G key %d, want %d", d, k, draw, i, f, g)
+					}
+				}
+				bh := fp.H.(core.BatchHasher[Point])
+				out := make([]uint64, 9)
+				for n := 1; n <= 9; n++ {
+					block := points[n : 2*n]
+					bh.HashBatch(block, out)
+					for i, p := range block {
+						if want := fp.H.Hash(p); out[i] != want {
+							t.Fatalf("d=%d k=%d block of %d, point %d: HashBatch %d, Hash %d", d, k, n, i, out[i], want)
+						}
+					}
+					if allocs := testing.AllocsPerRun(20, func() { bh.HashBatch(block, out) }); allocs != 0 {
+						t.Fatalf("d=%d k=%d block of %d: HashBatch %v allocs/op, want 0", d, k, n, allocs)
+					}
+				}
+				if allocs := testing.AllocsPerRun(20, func() { fp.H.Hash(points[0]) }); allocs != 0 {
+					t.Fatalf("d=%d k=%d: Hash %v allocs/op, want 0", d, k, allocs)
+				}
+			}
 		}
 	}
 }
@@ -192,9 +259,7 @@ func TestFastFamilyGuards(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"FastCrossPolytope(0)":     func() { FastCrossPolytope(0) },
 		"FastAntiCrossPolytope(0)": func() { FastAntiCrossPolytope(0) },
-		"PackedSimHash(0,4)":       func() { PackedSimHash(0, 4) },
-		"PackedSimHash(8,0)":       func() { PackedSimHash(8, 0) },
-		"PackedSimHash(8,65)":      func() { PackedSimHash(8, 65) },
+		"Power(SimHash(0),4)":      func() { core.Power[Point](SimHash(0), 4) },
 	} {
 		func() {
 			defer func() {
@@ -208,12 +273,12 @@ func TestFastFamilyGuards(t *testing.T) {
 }
 
 // TestFastHashPathsNoAllocs asserts the 0 allocs/op steady-state contract
-// on every new hash path: fast-CP Hash (pooled FWHT scratch), fast-CP
-// HashBatch, packed-simhash Hash, and packed-simhash HashBatch.
+// on every batch-capable hash path: fast-CP Hash (pooled FWHT buffers),
+// fast-CP HashBatch, and Power(SimHash)'s packed Hash and HashBatch.
 func TestFastHashPathsNoAllocs(t *testing.T) {
 	rng := xrand.New(11)
 	cp := FastCrossPolytope(100).Sample(rng) // pads 100 -> 128
-	sh := PackedSimHash(64, 8).Sample(rng)
+	sh := core.Power[Point](SimHash(64), 8).Sample(rng)
 	cpBatch := cp.H.(core.BatchHasher[Point])
 	shBatch := sh.H.(core.BatchHasher[Point])
 	points := make([]Point, 16)

@@ -65,7 +65,7 @@ func dimOf(fam core.Family[Point]) int {
 		return f.d
 	case fastCrossPolytope:
 		return f.d
-	case packedSimHash:
+	case simHashPower:
 		return f.d
 	}
 	var d int
@@ -100,7 +100,7 @@ func BenchmarkHashEvalFastCPBatch(b *testing.B) {
 func BenchmarkHashEvalSimHashScalar(b *testing.B) {
 	for _, d := range benchDims {
 		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
-			benchHashScalar(b, PackedSimHash(d, 8))
+			benchHashScalar(b, core.Power[Point](SimHash(d), 8))
 		})
 	}
 }
@@ -108,7 +108,7 @@ func BenchmarkHashEvalSimHashScalar(b *testing.B) {
 func BenchmarkHashEvalSimHashBatched(b *testing.B) {
 	for _, d := range benchDims {
 		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
-			benchHashBatch(b, PackedSimHash(d, 8))
+			benchHashBatch(b, core.Power[Point](SimHash(d), 8))
 		})
 	}
 }

@@ -12,13 +12,12 @@ import (
 // family plus a repetition count, shared by cmd/dshbench and cmd/dshserve
 // so the two tools accept identical names and build identical indexes:
 //
-//	fastcp        FFT-accelerated cross-polytope (O(d log d) pseudo-rotation)
-//	simhash       SimHash^6 via the generic Power combinator (scalar hashing)
-//	batchsimhash  row-packed SimHash k=6 implementing core.BatchHasher
+//	fastcp   FFT-accelerated cross-polytope (O(d log d) pseudo-rotation)
+//	simhash  Power(SimHash(d), 6), hashed by its row-packed core.BatchHasher
 //
 // fastcp derives L from the asymptotic CPF at alpha = 0.5 (L = ceil(1/f),
-// the standard repetition count for constant success probability); the
-// simhash pair keeps the historical L = 32 so simhash reproduces the old
+// the standard repetition count for constant success probability);
+// simhash keeps the historical L = 32 so it reproduces the old
 // churn-mode default exactly. Dense cross-polytope (sphere.CrossPolytope)
 // is not served: fastcp has the same CPF and hashes 2-37x faster, so the
 // dense family stays in the paper experiments only.
@@ -29,10 +28,8 @@ func ServingFamily(name string, dim int) (core.Family[[]float64], int, error) {
 		return fam, repetitionsFor(fam.CPF().Eval(0.5)), nil
 	case "simhash":
 		return core.Power[[]float64](sphere.SimHash(dim), 6), 32, nil
-	case "batchsimhash":
-		return sphere.PackedSimHash(dim, 6), 32, nil
 	}
-	return nil, 0, fmt.Errorf("unknown family %q (want fastcp, simhash or batchsimhash)", name)
+	return nil, 0, fmt.Errorf("unknown family %q (want fastcp or simhash)", name)
 }
 
 // repetitionsFor is L = ceil(1/f), mirroring index.RepetitionsForCPF
