@@ -90,6 +90,14 @@ func transform(x []complex128, inverse bool) {
 // the input by n; dividing by sqrt(n) makes it orthonormal. The hashing
 // pipelines skip the normalization entirely because a uniform positive
 // scale changes neither an argmax nor a sign.
+//
+// The log2(n) butterfly levels run in as few sweeps over x as possible:
+// one radix-8 pass does the levels of span 1, 2 and 4 in registers,
+// radix-4 passes then do two levels per sweep, and a radix-2 pass
+// finishes an odd leftover level (n < 8 takes only the last two kinds).
+// Each level computes every output as the same sum or difference of the
+// same two operands as the textbook one-level-per-sweep loop, in the
+// same level order, so the result is bit-identical to it.
 func FWHT(x []float64) {
 	n := len(x)
 	if n == 0 {
@@ -98,14 +106,65 @@ func FWHT(x []float64) {
 	if !IsPowerOfTwo(n) {
 		panic("fft: length must be a power of two")
 	}
-	for length := 1; length < n; length <<= 1 {
-		for start := 0; start < n; start += length << 1 {
-			for k := start; k < start+length; k++ {
-				a, b := x[k], x[k+length]
-				x[k] = a + b
-				x[k+length] = a - b
-			}
+	h := 1 // span of the next level to apply
+	if n >= 8 {
+		fwhtRadix8(x)
+		h = 8
+	}
+	for ; 4*h <= n; h *= 4 {
+		fwhtRadix4(x, h)
+	}
+	if 2*h == n {
+		fwhtRadix2(x[:h], x[h:])
+	}
+}
+
+// fwhtRadix8 applies the butterfly levels of span 1, 2 and 4 to every
+// aligned block of eight; len(x) is a multiple of 8.
+func fwhtRadix8(x []float64) {
+	for ; len(x) >= 8; x = x[8:] {
+		v := (*[8]float64)(x)
+		b0, b1 := v[0]+v[1], v[0]-v[1]
+		b2, b3 := v[2]+v[3], v[2]-v[3]
+		b4, b5 := v[4]+v[5], v[4]-v[5]
+		b6, b7 := v[6]+v[7], v[6]-v[7]
+		c0, c2 := b0+b2, b0-b2
+		c1, c3 := b1+b3, b1-b3
+		c4, c6 := b4+b6, b4-b6
+		c5, c7 := b5+b7, b5-b7
+		v[0], v[4] = c0+c4, c0-c4
+		v[1], v[5] = c1+c5, c1-c5
+		v[2], v[6] = c2+c6, c2-c6
+		v[3], v[7] = c3+c7, c3-c7
+	}
+}
+
+// fwhtRadix4 applies the butterfly levels of span h and 2h in one sweep:
+// each block of 4h splits into quarters q0..q3, level h pairs q0 with q1
+// and q2 with q3, and level 2h pairs the results across halves.
+// len(x) is a multiple of 4h.
+func fwhtRadix4(x []float64, h int) {
+	for s := 0; s+4*h <= len(x); s += 4 * h {
+		q0 := x[s : s+h]
+		q1 := x[s+h : s+2*h][:len(q0)]
+		q2 := x[s+2*h : s+3*h][:len(q0)]
+		q3 := x[s+3*h : s+4*h][:len(q0)]
+		for k := range q0 {
+			b0, b1 := q0[k]+q1[k], q0[k]-q1[k]
+			b2, b3 := q2[k]+q3[k], q2[k]-q3[k]
+			q0[k], q2[k] = b0+b2, b0-b2
+			q1[k], q3[k] = b1+b3, b1-b3
 		}
+	}
+}
+
+// fwhtRadix2 applies the top butterfly level, pairing lo[k] with hi[k];
+// the halves have equal length.
+func fwhtRadix2(lo, hi []float64) {
+	hi = hi[:len(lo)]
+	for k := range lo {
+		a, b := lo[k], hi[k]
+		lo[k], hi[k] = a+b, a-b
 	}
 }
 

@@ -204,6 +204,53 @@ func TestFWHTMatchesNaive(t *testing.T) {
 	}
 }
 
+// radix2FWHT is the textbook one-level-per-sweep transform, the
+// bit-for-bit reference for FWHT's radix-8/4/2 passes.
+func radix2FWHT(x []float64) {
+	n := len(x)
+	for length := 1; length < n; length <<= 1 {
+		for start := 0; start < n; start += length << 1 {
+			for k := start; k < start+length; k++ {
+				a, b := x[k], x[k+length]
+				x[k] = a + b
+				x[k+length] = a - b
+			}
+		}
+	}
+}
+
+// TestFWHTBitIdenticalToRadix2 holds FWHT to the radix-2 loop bit for bit
+// at every power-of-two n up to 4096. The fast cross-polytope keys are
+// argmaxes over FWHT outputs, and durable stores persist those keys, so
+// the transform must not move one bit. Inputs mix signed zeros, huge and
+// subnormal magnitudes with ordinary values.
+func TestFWHTBitIdenticalToRadix2(t *testing.T) {
+	rng := xrand.New(13)
+	special := []float64{0, math.Copysign(0, -1), 1e300, -1e300, 5e-324, -5e-324, 2.2250738585072e-308, -1e-310}
+	for n := 1; n <= 4096; n <<= 1 {
+		x := make([]float64, n)
+		want := make([]float64, n)
+		for trial := 0; trial < 200; trial++ {
+			for i := range x {
+				if trial%2 == 1 && rng.Uint64()%4 == 0 {
+					x[i] = special[rng.Uint64()%uint64(len(special))]
+				} else {
+					x[i] = rng.NormFloat64()
+				}
+			}
+			copy(want, x)
+			radix2FWHT(want)
+			FWHT(x)
+			for i := range x {
+				if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d trial %d: FWHT[%d] = %v (%#x), radix-2 loop gives %v (%#x)",
+						n, trial, i, x[i], math.Float64bits(x[i]), want[i], math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
 // TestFWHTInvolution checks H(Hx) = n*x (H_n H_n = n I), the property that
 // makes the sign-flip x Hadamard rounds pseudo-rotations: up to the
 // uniform scale sqrt(n) per round, the transform is orthogonal.
@@ -399,26 +446,41 @@ func TestConvolvePaddingBoundary(t *testing.T) {
 	ConvolveReal(make([]float64, 5), make([]float64, 5))
 }
 
-func BenchmarkFWHT1024(b *testing.B) {
-	rng := xrand.New(1)
-	x := make([]float64, 1024)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FWHT(x)
+// BenchmarkFWHT transforms a fresh copy of one fixed input per call: the
+// transform is unnormalized and scales the norm by sqrt(n), so repeating
+// it in place would overflow to Inf and NaN within a few hundred calls
+// and time NaN arithmetic from then on. n=256 is the padded size of the
+// d=256 fast cross-polytope family.
+func BenchmarkFWHT(b *testing.B) {
+	for _, n := range []int{256, 1024} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := xrand.New(1)
+			in := make([]float64, n)
+			for i := range in {
+				in[i] = rng.NormFloat64()
+			}
+			x := make([]float64, n)
+			b.ReportAllocs()
+			for b.Loop() {
+				copy(x, in)
+				FWHT(x)
+			}
+		})
 	}
 }
 
+// BenchmarkFFT1024 transforms a fresh copy of one fixed input per call,
+// for the same reason as BenchmarkFWHT.
 func BenchmarkFFT1024(b *testing.B) {
 	rng := xrand.New(1)
-	x := make([]complex128, 1024)
-	for i := range x {
-		x[i] = complex(rng.NormFloat64(), 0)
+	in := make([]complex128, 1024)
+	for i := range in {
+		in[i] = complex(rng.NormFloat64(), 0)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	x := make([]complex128, len(in))
+	b.ReportAllocs()
+	for b.Loop() {
+		copy(x, in)
 		FFT(x)
 	}
 }

@@ -177,6 +177,9 @@ func FuzzWireDifferential(f *testing.F) {
 	} {
 		f.Add(seed.which, []byte(seed.body))
 	}
+	for _, lit := range wireFloatLiterals {
+		f.Add(query, []byte(`{"vector":[`+lit+`,0,0,1]}`))
+	}
 
 	srv := &Server{opts: Options{Dim: fuzzDim, ShedDepth: 8}.withDefaults(), keyed: true}
 	f.Fuzz(func(t *testing.T, which byte, body []byte) {

@@ -16,9 +16,13 @@ import (
 // a request body is read whole into a pooled buffer and scanned by a
 // byte scanner that knows the four request shapes and accepts their
 // exact, unescaped field names only, so an unknown or misspelt field
-// is a 400, not a silently dropped bound. Every number token is handed
-// to the strconv call encoding/json makes for that field type, so the
-// decoded values are the ones encoding/json would produce, bit for bit.
+// is a 400, not a silently dropped bound. A vector coordinate is
+// converted in the scanner's one pass over its token, by the
+// Eisel-Lemire algorithm strconv.ParseFloat itself uses, and any token
+// that algorithm cannot decide goes to ParseFloat; every other number
+// token is handed to the strconv call encoding/json makes for that field
+// type. Either way the decoded values are the ones encoding/json would
+// produce, bit for bit.
 // The four success replies are appended with strconv into a pooled
 // buffer and sent with an explicit Content-Length. Error replies keep
 // encoding/json: they carry free text that needs string escaping, and
@@ -317,12 +321,97 @@ func (sc *scanner) value() ([]byte, *wireError) {
 	return sc.number()
 }
 
-// float scans a vector coordinate; null leaves *dst as it was.
+// float scans a vector coordinate; null leaves *dst as it was. It walks
+// the number token once: it checks the grammar exactly as number does,
+// with the same errors at the same offsets, and meanwhile accumulates
+// the decimal mantissa's first maxMantDigits significant digits and the
+// decimal exponent, as strconv.ParseFloat's own reader does. A token
+// whose digits all fit is converted by eiselLemire64, ParseFloat's own
+// fast path, which returns the correctly rounded value whenever it
+// decides. Every other token (more significant digits, an undecided
+// rounding, a subnormal, an overflow) goes to ParseFloat itself, so the
+// value, or the range error, is ParseFloat's bit for bit either way.
 func (sc *scanner) float(dst *float64) *wireError {
-	tok, werr := sc.value()
-	if tok == nil {
-		return werr
+	if sc.null() {
+		return nil
 	}
+	const maxMantDigits = 19 // 10^19 < 2^64
+	b, i := sc.b, sc.i
+	start := i
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	var man uint64
+	nd, exp10 := 0, 0 // significant digits in man; the token reads man × 10^exp10
+	exact := true     // and no non-zero digit was dropped from man
+	if i < len(b) && b[i] == '0' {
+		i++
+	} else {
+		j := i
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if nd < maxMantDigits {
+				man = man*10 + uint64(b[i]-'0')
+				nd++
+			} else {
+				exp10++
+				exact = exact && b[i] == '0'
+			}
+		}
+		if i == j {
+			sc.i = i
+			return sc.syntaxError("a number")
+		}
+	}
+	if i < len(b) && b[i] == '.' {
+		i++
+		j := i
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if nd < maxMantDigits {
+				man = man*10 + uint64(b[i]-'0')
+				if man != 0 {
+					nd++ // leading zeros are not significant
+				}
+				exp10--
+			} else {
+				exact = exact && b[i] == '0'
+			}
+		}
+		if i == j {
+			sc.i = i
+			return sc.syntaxError("a digit")
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		eneg := false
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			eneg = b[i] == '-'
+			i++
+		}
+		j, e := i, 0
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if e < 10000 { // saturates far beyond any float64 exponent
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if i == j {
+			sc.i = i
+			return sc.syntaxError("a digit")
+		}
+		if eneg {
+			e = -e
+		}
+		exp10 += e
+	}
+	sc.i = i
+	if exact {
+		if v, ok := eiselLemire64(man, exp10, neg); ok {
+			*dst = v
+			return nil
+		}
+	}
+	tok := b[start:i]
 	v, err := strconv.ParseFloat(string(tok), 64)
 	if err != nil {
 		return numberError(tok, "a float64")

@@ -246,8 +246,99 @@ func wireQueryBody(dim int) []byte {
 	return append(b, `]}`...)
 }
 
-// TestWireDecodeAllocs pins decodeQuery on a d=256 body to a handful of
-// allocations: the decoded vector, with the body buffer pooled.
+// wireFloatLiterals are number tokens at the edges of scanner.float's
+// one-pass conversion: signed zero, exponents past any table, underflow
+// to zero, the smallest subnormal, the largest subnormal's neighbour, the
+// largest finite value and the first token that overflows, 2^53+1, a
+// 21-digit integer and a 54-digit exact halfway case.
+var wireFloatLiterals = []string{
+	"-0", "0e999999999999", "1e-400", "4.9406564584124654e-324",
+	"2.2250738585072011e-308", "1.7976931348623157e308", "1.7976931348623159e308",
+	"9007199254740993", "123456789012345678901",
+	"1.00000000000000011102230246251565404236316680908203125",
+}
+
+// scanFloatReference is the two-pass reference decoder for scanner.float:
+// it delimits the token with number and converts it with
+// strconv.ParseFloat, the call encoding/json makes for a float64.
+func scanFloatReference(sc *scanner, dst *float64) *wireError {
+	tok, werr := sc.value()
+	if tok == nil {
+		return werr
+	}
+	v, err := strconv.ParseFloat(string(tok), 64)
+	if err != nil {
+		return numberError(tok, "a float64")
+	}
+	*dst = v
+	return nil
+}
+
+// TestServeWireFloatMatchesStrconv holds scanner.float to
+// scanFloatReference: the same value bit for bit, the same acceptance or
+// rejection with the same error text, and the same end offset, on every
+// kind of token a JSON encoder writes, random digit strings and
+// malformed tokens.
+func TestServeWireFloatMatchesStrconv(t *testing.T) {
+	check := func(tok string) {
+		t.Helper()
+		for _, body := range []string{tok, tok + "]", " " + tok + ",1"} {
+			ref, got := scanner{b: []byte(body)}, scanner{b: []byte(body)}
+			want, have := 0.5, 0.5
+			werr, gerr := scanFloatReference(&ref, &want), got.float(&have)
+			switch {
+			case (werr == nil) != (gerr == nil):
+				t.Fatalf("%q: error %v, want %v", body, gerr, werr)
+			case werr != nil && werr.msg != gerr.msg:
+				t.Fatalf("%q: error %q, want %q", body, gerr.msg, werr.msg)
+			case werr == nil && math.Float64bits(have) != math.Float64bits(want):
+				t.Fatalf("%q: decoded %v (%#x), want %v (%#x)", body, have, math.Float64bits(have), want, math.Float64bits(want))
+			case werr == nil && got.i != ref.i:
+				t.Fatalf("%q: stopped at offset %d, want %d", body, got.i, ref.i)
+			}
+		}
+	}
+	for _, tok := range wireFloatLiterals {
+		check(tok)
+		check("-" + tok)
+	}
+	for _, tok := range []string{"", "-", "-x", "1.", "1.x", "1e", "1e+", "1E-x", ".5", "+1", "-.5",
+		"01", "0x10", "NaN", "Infinity", "1e5.5", "null", "nul", "1.5e+07", "00.5", "-0.0e-0",
+		"1e99999999999999999999", "1e-99999999999999999999", "0.000000000000000000000000000001e30",
+		"1e18446744073709551617", "1e-18446744073709551615"} {
+		check(tok)
+	}
+	rng := xrand.New(29)
+	digits := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte('0' + rng.Intn(10))
+		}
+		if b[0] == '0' {
+			b[0] = '1'
+		}
+		return b
+	}
+	for n := 0; n < 140000; n++ {
+		var x float64
+		if n%2 == 0 {
+			x = math.Float64frombits(rng.Uint64())
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				continue
+			}
+		} else {
+			x = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20))
+		}
+		check(strconv.FormatFloat(x, 'g', -1, 64))
+		check(strconv.FormatFloat(x, 'e', rng.Intn(26), 64))
+		check(strconv.FormatFloat(x, 'f', rng.Intn(26), 64))
+		check(string(digits(1 + rng.Intn(25))))
+	}
+}
+
+// TestWireDecodeAllocs pins decodeQuery on a d=256 body to exactly one
+// allocation, the decoded vector: the body buffer is pooled and no
+// number token is converted to a string on the way.
 func TestWireDecodeAllocs(t *testing.T) {
 	body := wireQueryBody(256)
 	srv := &Server{opts: Options{Dim: 256}.withDefaults()}
@@ -258,8 +349,8 @@ func TestWireDecodeAllocs(t *testing.T) {
 			t.Fatal(werr)
 		}
 	})
-	if allocs > 3 {
-		t.Fatalf("decodeQuery at d=256: %.1f allocations per call, want at most 3", allocs)
+	if allocs != 1 {
+		t.Fatalf("decodeQuery at d=256: %.1f allocations per call, want 1", allocs)
 	}
 }
 

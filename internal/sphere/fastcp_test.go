@@ -1,6 +1,8 @@
 package sphere
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -303,6 +305,79 @@ func TestFastHashPathsNoAllocs(t *testing.T) {
 	for name, fn := range cases {
 		if allocs := testing.AllocsPerRun(200, fn); allocs != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
+		}
+	}
+}
+
+// TestFastCrossPolytopeGoldenKeys pins the keys the served families emit
+// to digests computed before the radix-4 FWHT replaced the radix-2 loop.
+// Segment files and WAL records persist these keys, so a changed key
+// silently breaks every durable store a user reopens: its tables would
+// no longer collide with freshly hashed queries. Each digest covers the
+// keys of goldenDraws draws from one seed over goldenPoints fixed unit
+// points, through Hash and, where the hasher has them, HashBatch and
+// HashNeg. A kernel change must keep every key bit for bit; a family
+// change that means to move keys must say so and re-pin these.
+func TestFastCrossPolytopeGoldenKeys(t *testing.T) {
+	const goldenDraws, goldenPoints = 7, 1000
+	cases := []struct {
+		name string
+		d    int
+		fam  core.Family[Point]
+		g    bool // digest G instead of H
+		want uint64
+	}{
+		{"fastcp/d=24", 24, FastCrossPolytope(24), false, 0xbad52d2485d4fce5},
+		{"fastcp/d=100", 100, FastCrossPolytope(100), false, 0x00ee954955ade665},
+		{"fastcp/d=256", 256, FastCrossPolytope(256), false, 0x9d19bf05eb00dea9},
+		{"fastcp/d=1000", 1000, FastCrossPolytope(1000), false, 0x9d49ac0fd5fb09b5},
+		{"fastanticp.G/d=24", 24, FastAntiCrossPolytope(24), true, 0x51bbad9da1b58ee5},
+		{"fastanticp.G/d=100", 100, FastAntiCrossPolytope(100), true, 0x383a60f214361365},
+		{"fastanticp.G/d=256", 256, FastAntiCrossPolytope(256), true, 0x3c67ad23b02a85e1},
+		{"fastanticp.G/d=1000", 1000, FastAntiCrossPolytope(1000), true, 0x54f29d4c69b47e9d},
+		{"simhash^6/d=64", 64, core.Power[Point](SimHash(64), 6), false, 0xcac4eae0bedc6651},
+	}
+	for _, c := range cases {
+		prng := xrand.New(uint64(c.d))
+		points := make([]Point, goldenPoints)
+		negs := make([]Point, goldenPoints)
+		for i := range points {
+			points[i] = vec.RandomUnit(prng, c.d)
+			negs[i] = make(Point, c.d)
+			for j, v := range points[i] {
+				negs[i][j] = -v
+			}
+		}
+		digest := fnv.New64a()
+		var buf []byte
+		add := func(key uint64) { buf = binary.LittleEndian.AppendUint64(buf, key) }
+		out := make([]uint64, goldenPoints)
+		rng := xrand.New(2018)
+		for draw := 0; draw < goldenDraws; draw++ {
+			pair := c.fam.Sample(rng)
+			h := pair.H
+			if c.g {
+				h = pair.G
+			}
+			for _, p := range points {
+				add(h.Hash(p))
+			}
+			if bh, ok := h.(core.BatchHasher[Point]); ok {
+				bh.HashBatch(points, out)
+				for _, k := range out {
+					add(k)
+				}
+			}
+			if nh, ok := h.(interface{ HashNeg(Point) uint64 }); ok {
+				for _, p := range negs {
+					add(nh.HashNeg(p))
+				}
+			}
+			digest.Write(buf)
+			buf = buf[:0]
+		}
+		if got := digest.Sum64(); got != c.want {
+			t.Errorf("%s: key digest %#016x, want %#016x", c.name, got, c.want)
 		}
 	}
 }
